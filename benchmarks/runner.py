@@ -47,30 +47,19 @@ DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_core.json")
 #: (faults_off: the repro.faults gates on the block/VFS/hook hot paths
 #: must stay at one-load-one-branch cost when no plan is armed) —
 #: together they cover every hot path the perf work touches (eviction,
-#: hook dispatch, lists, engine loop).  ``replay`` re-runs the fig6
-#: sweep on the trace-replay fast path: its table hash must equal
-#: fig6's (bit-identical payloads — checked in :func:`run_suite`) and
-#: its timing entry is the committed record of the fast path's win.
-#: ``snapshot`` re-runs it once more with sweep-level machine
-#: snapshots (repro.snapshot): cells restore one shared post-load
-#: image instead of rebuilding it; its table hash must also equal
-#: fig6's, and its timing entry is the committed record of what the
-#: snapshot path buys.  ``scan`` runs the fig6 sweep a fourth time on
-#: the approximate decision-level stepper (repro.scan, one multi-cell
-#: pass per workload row, snapshot-restored): it is explicitly
-#: approximate, so it is EXEMPT from the fig6 table-hash equality the
-#: other two modes must pass — instead its entry records the per-cell
-#: hit-ratio drift vs the exact fig6 table (bit-reproducible
-#: run-to-run, so still a deterministic baseline field) and its
-#: speedup over the replay entry.
+#: hook dispatch, lists, engine loop).  ``snapshot`` re-runs the fig6
+#: sweep with sweep-level machine snapshots (repro.snapshot): cells
+#: restore one shared post-load image instead of rebuilding it; its
+#: table hash must equal fig6's (bit-identical payloads — checked in
+#: :func:`run_suite`), and its timing entry is the committed record of
+#: what the snapshot path buys.
 #: ``timeseries_off`` pins the telemetry sampler's disabled cost the
 #: same way: with no sampler attached the run executes zero sampler
 #: code, so this cell must track ``spans_off``-class timing exactly —
 #: if plumbing the ``--timeseries`` option ever leaks work into
 #: unsampled runs, this entry regresses in isolation.
-CORE_SUITE = ("fig6", "replay", "snapshot", "scan", "fig9",
-              "admission", "table4", "spans_off", "faults_off",
-              "timeseries_off")
+CORE_SUITE = ("fig6", "snapshot", "fig9", "admission", "table4",
+              "spans_off", "faults_off", "timeseries_off")
 
 SCHEMA = 1
 
@@ -221,28 +210,16 @@ def run_experiment(name: str, quick: bool, jobs: Optional[int],
         return run_faults_off(calibration_s)
     if name == "timeseries_off":
         return run_timeseries_off(calibration_s)
-    mode = "full"
     snapshot = "off"
-    if name == "replay":
-        # The fig6 sweep again, on the trace-replay fast path.  Every
-        # deterministic field must match the "fig6" entry exactly
-        # (enforced in run_suite); the timing delta is the committed
-        # record of what replay buys.
-        name, mode = "fig6", "replay"
-    elif name == "snapshot":
-        # The fig6 sweep a third time, restoring each cell's machine
-        # from the shared post-load image (repro.snapshot) instead of
-        # rebuilding it.  Deterministic fields must again match the
-        # "fig6" entry exactly (enforced in run_suite).
+    if name == "snapshot":
+        # The fig6 sweep again, restoring each cell's machine from the
+        # shared post-load image (repro.snapshot) instead of
+        # rebuilding it.  Deterministic fields must match the "fig6"
+        # entry exactly (enforced in run_suite).
         name, snapshot = "fig6", "on"
-    elif name == "scan":
-        # The fig6 sweep on the decision-level stepper: approximate
-        # hit ratios (drift vs the fig6 entry recorded in run_suite),
-        # bit-reproducible, one grouped pass per workload row.
-        name, mode, snapshot = "fig6", "scan", "on"
     module = importlib.import_module(f"repro.experiments.{name}")
     spec = module.plan(quick=quick)
-    report = execute(spec, jobs=jobs, serial=jobs is None, mode=mode,
+    report = execute(spec, jobs=jobs, serial=jobs is None,
                      snapshot=snapshot)
     result = report.result
     table = result.format_table()
@@ -284,18 +261,6 @@ def run_suite(experiments, quick: bool, jobs: Optional[int]) -> dict:
               f"({time.perf_counter() - started:.1f}s incl. merge)",
               flush=True)
     full = doc["experiments"].get("fig6")
-    fast = doc["experiments"].get("replay")
-    if full is not None and fast is not None:
-        # The replay contract, enforced on every bench run: same plan,
-        # different engine, byte-identical table.
-        if full["table_sha256"] != fast["table_sha256"]:
-            raise SystemExit(
-                "replay mode diverged from the full engine on fig6 "
-                f"({fast['table_sha256'][:12]} != "
-                f"{full['table_sha256'][:12]}) — the fast path is "
-                "broken, not just slow")
-        print("[replay] table hash matches fig6 (bit-identical)",
-              flush=True)
     snap = doc["experiments"].get("snapshot")
     if full is not None and snap is not None:
         # The snapshot contract: restored machines produce the very
@@ -308,50 +273,7 @@ def run_suite(experiments, quick: bool, jobs: Optional[int]) -> dict:
                 "state is wrong, not just slow")
         print("[snapshot] table hash matches fig6 (bit-identical)",
               flush=True)
-    scan = doc["experiments"].get("scan")
-    if full is not None and scan is not None:
-        # Scan is approximate by design — no hash-equality gate.  Its
-        # committed record is the drift itself: per-cell |scan - exact|
-        # hit ratio against the fig6 entry, plus the speedup over the
-        # replay entry.  Both derive from deterministic simulations,
-        # so they are stable baseline fields.
-        drift = {}
-        for key, exact_hr in full["hit_ratios"].items():
-            scan_hr = scan["hit_ratios"].get(key)
-            if scan_hr is not None:
-                drift[key] = round(100 * abs(scan_hr - exact_hr), 2)
-        scan["drift_pp"] = drift
-        scan["max_drift_pp"] = max(drift.values()) if drift else None
-        if fast is not None:
-            scan["speedup_vs_replay"] = round(
-                fast["timing"]["wall_s"] / scan["timing"]["wall_s"], 2)
-        print(f"[scan] max hit-ratio drift vs fig6: "
-              f"{scan['max_drift_pp']}pp across {len(drift)} cells"
-              + (f", {scan['speedup_vs_replay']}x vs replay"
-                 if "speedup_vs_replay" in scan else ""),
-              flush=True)
-    _print_trajectory(doc)
     return doc
-
-
-def _print_trajectory(doc: dict) -> None:
-    """The sweep-throughput story in one block: how long the same
-    fig6 grid takes under each execution tier, fastest-path history
-    (full engine -> trace replay -> snapshot restores -> decision-level
-    scan)."""
-    tiers = [("full", "fig6"), ("replay", "replay"),
-             ("snapshot", "snapshot"), ("scan", "scan")]
-    present = [(label, doc["experiments"][name]["timing"]["wall_s"])
-               for label, name in tiers
-               if name in doc["experiments"]]
-    if len(present) < 2:
-        return
-    base = present[0][1]
-    print("speedup trajectory (same fig6 grid):", flush=True)
-    for label, wall_s in present:
-        factor = base / wall_s if wall_s else float("inf")
-        print(f"  {label:>8s}  {wall_s:7.1f}s  {factor:5.2f}x vs "
-              f"{present[0][0]}", flush=True)
 
 
 def strip_timing(doc: dict) -> dict:

@@ -6,10 +6,7 @@ several eviction policies and prints a Figure-6-style comparison —
 this is the "empirically choose the best policy for your workload"
 workflow the paper advocates (§6.1.2).
 
-The sweep goes through the one-call facade, :func:`repro.api.run`, on
-the trace-replay fast path (``mode="replay"``): a policy sweep only
-needs the counters, and replay produces them bit-identically to the
-full engine at a fraction of the wall time.
+The sweep goes through the one-call facade, :func:`repro.api.run`.
 
 Run it::
 
@@ -33,7 +30,7 @@ SCALE = {
 
 def main():
     spec = fig6.plan(policies=POLICIES, workloads=["C"], scale=SCALE)
-    report = api.run(spec, mode="replay")
+    report = api.run(spec)
     result = report.result
     print(result.format_table())
     best = max(result.rows, key=lambda row: row[2])

@@ -10,7 +10,7 @@ substrate.  Public API tour::
     machine = api.MachineConfig(cgroups=(("app", 1024),)).build()
     load_policy(machine, machine.cgroup("app"), make_lfu_policy())
 
-    report = api.run("fig6", quick=True, mode="replay")
+    report = api.run("fig6", quick=True)
     print(report.result.format_table())
 
 Subpackages:

@@ -4,52 +4,40 @@ Before this module, driving the reproduction meant knowing several
 layers by name: ``Machine(...)`` plus post-construction pokes
 (``machine.fs.bulk_io_enabled``, ``machine.engine.burst_enabled``),
 ``harness.make_db_env`` for DB cells, ``<experiment>.plan()`` +
-``parallel.execute(...)`` for sweeps, ``repro.replay.enable_replay``
-for the fast path, ``machine.arm_faults`` for fault plans.  This
-module collapses that to two entry points:
+``parallel.execute(...)`` for sweeps, ``machine.arm_faults`` for fault
+plans.  This module collapses that to two entry points:
 
 * :class:`MachineConfig` — a declarative machine description whose
   ``build()`` returns a ready :class:`~repro.kernel.machine.Machine`
   (kwargs that used to be scattered attribute pokes live here);
 * :func:`run` — one call that takes an experiment (a name like
   ``"fig6"`` or a prepared
-  :class:`~repro.experiments.harness.ExperimentSpec`), an execution
-  ``mode`` (``"full"`` | ``"replay"`` | ``"scan"`` | ``"auto"``), an
-  optional policy filter and an optional fault plan, and returns the
-  merged :class:`~repro.experiments.parallel.ExecutionReport`.
+  :class:`~repro.experiments.harness.ExperimentSpec`), an optional
+  policy filter and an optional fault plan, and returns the merged
+  :class:`~repro.experiments.parallel.ExecutionReport`.
 
 Example::
 
     from repro import api
 
-    report = api.run("fig6", quick=True, mode="replay")
+    report = api.run("fig6", quick=True)
     print(report.result.format_table())
 
     machine = api.MachineConfig(
         kernel_policy="mglru", disk={"read_us": 95.0, "channels": 2},
         cgroups=(("app", 1000),)).build()
 
-Mode rules (enforced here and in :mod:`repro.replay`):
+Every cell runs on the one exact engine.  Option rules:
 
-* ``mode="replay"`` runs replay-capable cells on the trace-replay
-  fast path; payloads are bit-identical to the full engine.
-* ``mode="scan"`` runs scan-capable sweeps on the approximate
-  decision-level stepper (:mod:`repro.scan`) — one multi-cell pass
-  per shared stream; hit ratios land within a documented tolerance,
-  timing/latency columns are decision-level virtual time.  Anything
-  that needs the engine — ``faults``, ``trace``, ``breakdown`` —
-  raises :class:`repro.scan.ScanUnsupportedError`.
-* ``faults`` requires the full engine — combining a fault plan with
-  ``mode="replay"`` raises, and ``mode="auto"`` quietly falls back.
-* ``breakdown`` (latency attribution) likewise needs the full engine.
+* ``faults`` cannot be combined with ``trace`` or ``breakdown`` (they
+  all claim the per-cell machine observer).
 * ``snapshot=True`` restores each snapshot-capable cell from one
   shared post-load machine image (:mod:`repro.snapshot`) instead of
   re-running the load — byte-identical tables; combining with
   ``faults`` raises (``snapshot="auto"`` falls back to cold builds).
 * ``timeseries`` (continuous telemetry frames,
-  :mod:`repro.obs.timeseries`) also needs the full engine —
-  ``mode="replay"`` raises, ``mode="scan"`` raises, ``"auto"`` falls
-  back; it composes with both ``faults`` and ``snapshot``.
+  :mod:`repro.obs.timeseries`) composes with both ``faults`` and
+  ``snapshot``.
 """
 
 from __future__ import annotations
@@ -75,10 +63,6 @@ class MachineConfig:
       (previously ``machine.fs.bulk_io_enabled = ...``);
     * ``burst_enabled`` — the engine's burst-scheduling fast path
       (previously ``machine.engine.burst_enabled = ...``);
-    * ``mode`` — ``"full"``, ``"replay"``, or ``"scan"`` (both of the
-      latter apply :func:`repro.replay.enable_replay` before anything
-      else touches the machine; the scan stepper drives a
-      replay-trimmed machine);
     * ``cgroups`` — ``(name, limit_pages)`` pairs created at build.
 
     Frozen, so one config can stamp out any number of machines (use
@@ -90,20 +74,14 @@ class MachineConfig:
     costs: Optional[object] = None
     bulk_io_enabled: bool = True
     burst_enabled: bool = True
-    mode: str = "full"
     cgroups: tuple = ()
 
     def build(self) -> Machine:
         from repro.kernel.block import BlockDevice
-        if self.mode not in ("full", "replay", "scan"):
-            raise ValueError(f"unknown machine mode {self.mode!r}")
         machine = Machine(
             kernel_policy=self.kernel_policy,
             disk=BlockDevice(**self.disk) if self.disk else None,
             costs=self.costs)
-        if self.mode in ("replay", "scan"):
-            from repro.replay import enable_replay
-            enable_replay(machine)
         machine.fs.bulk_io_enabled = self.bulk_io_enabled
         machine.engine.burst_enabled = self.burst_enabled
         for name, limit_pages in self.cgroups:
@@ -121,7 +99,7 @@ def _resolve_spec(spec, quick: bool):
     return spec
 
 
-def run(spec: Union[str, object], *, mode: str = "full",
+def run(spec: Union[str, object], *,
         policy: Optional[str] = None, faults=None, quick: bool = False,
         jobs: Optional[int] = None, serial: Optional[bool] = None,
         trace: bool = False, breakdown: bool = False,
@@ -137,23 +115,13 @@ def run(spec: Union[str, object], *, mode: str = "full",
         An experiment name (``"fig6"``, ``"table3"``, ...) resolved
         through ``repro.experiments.<name>.plan(quick=quick)``, or a
         prepared :class:`~repro.experiments.harness.ExperimentSpec`.
-    mode:
-        ``"full"`` (reference engine), ``"replay"`` (trace-replay fast
-        path for cells that opt in — bit-identical payloads),
-        ``"scan"`` (approximate decision-level stepper, one multi-cell
-        pass per shared stream — hit ratios within a documented
-        tolerance; refuses ``faults``/``trace``/``breakdown`` with
-        :class:`repro.scan.ScanUnsupportedError`), or ``"auto"``
-        (replay unless ``trace``/``breakdown``/``faults`` need the
-        full instrumentation; scan only when the spec declares itself
-        hit-ratio-only).
     policy:
         Only run cells whose id matches this policy (grid cell ids are
         ``workload/policy``); any :func:`fnmatch` glob also works.
     faults:
         A :class:`~repro.faults.plan.FaultPlan` armed on every machine
-        the cells build.  Requires the full engine: combined with
-        ``mode="replay"`` this raises, with ``"auto"`` it falls back.
+        the cells build.  Cannot be combined with ``trace`` or
+        ``breakdown``.
     serial:
         Defaults to ``jobs is None`` — no explicit job count means
         in-process serial execution (the reference behaviour).
@@ -168,13 +136,11 @@ def run(spec: Union[str, object], *, mode: str = "full",
     timeseries:
         ``False`` (no sampling, the zero-cost default), ``True``
         (continuous telemetry frames at the default 10 ms virtual
-        cadence), or a sample interval in virtual µs.  Frames land in
+        cadence), or a positive sample interval in virtual µs (any
+        other number raises ``ValueError``).  Frames land in
         ``report.timeseries`` (export with
         :func:`repro.experiments.parallel.timeseries_jsonl`, analyze
-        with :mod:`repro.obs.analyze`).  Needs the full engine:
-        ``mode="replay"`` raises ``ValueError``, ``mode="scan"``
-        raises :class:`repro.scan.ScanUnsupportedError`, ``"auto"``
-        falls back to the full engine.  Composes with ``faults`` (the
+        with :mod:`repro.obs.analyze`).  Composes with ``faults`` (the
         sampler chains behind the fault-plan observer, so the injected
         windows appear in the frames' ``active_faults`` column) and
         with ``snapshot`` (frames are byte-identical cold vs
@@ -194,18 +160,6 @@ def run(spec: Union[str, object], *, mode: str = "full",
         timeout_s = DEFAULT_TIMEOUT_S
     observer = None
     if faults is not None:
-        if mode == "scan":
-            from repro.scan import ScanUnsupportedError
-            raise ScanUnsupportedError(
-                "mode='scan' cannot honor faults=: the decision-level "
-                "stepper drops the engine paths fault plans hook; use "
-                "mode='full' (or mode='auto', which falls back to the "
-                "full engine when a fault plan is armed)")
-        if mode == "replay":
-            raise ValueError(
-                "fault injection needs the full engine; replay mode "
-                "strips the paths fault plans hook (use mode='full' "
-                "or mode='auto')")
         if trace or breakdown:
             raise ValueError(
                 "faults cannot be combined with trace/breakdown: both "
@@ -216,7 +170,6 @@ def run(spec: Union[str, object], *, mode: str = "full",
                 "captured image must be quiescent, and cold builds arm "
                 "the plan before the load phase (use snapshot=False "
                 "or snapshot='auto')")
-        mode = "full"
         snapshot = False  # "auto" falls back to cold builds
 
         def observer(machine):
@@ -227,8 +180,8 @@ def run(spec: Union[str, object], *, mode: str = "full",
     try:
         return execute(resolved, jobs=jobs, serial=serial,
                        timeout_s=timeout_s, trace=trace,
-                       breakdown=breakdown, mode=mode,
-                       snapshot=snapshot, timeseries=timeseries)
+                       breakdown=breakdown, snapshot=snapshot,
+                       timeseries=timeseries)
     finally:
         if observer is not None:
             harness.set_cell_observer(previous)

@@ -96,18 +96,11 @@ class LsmDb(SnapshotFriendly):
         #: absorbs :class:`EIO`/:class:`ETIMEDOUT` instead of crashing:
         #: a get reports a miss, a put drops the write).
         self.n_io_errors = 0
-        #: Bumped whenever the set of live SSTables changes (flush,
-        #: compaction install, bulk load).  Guards every structure-
-        #: derived cache below.
-        self._struct_version = 0
         #: Per-level ``[t.min_key for t in level]``, rebuilt lazily
-        #: after each version bump; point reads and scans binary-search
-        #: these instead of re-materializing the list per call.
+        #: after each change to the live table set; point reads and
+        #: scans binary-search these instead of re-materializing the
+        #: list per call.
         self._minkeys: dict[int, list] = {}
-        #: Replay-mode read plans: key -> (struct_version, ((file,
-        #: page), ...), value).  ``None`` (the default) disables
-        #: recording entirely; see :meth:`enable_plan_cache`.
-        self._plans: Optional[dict] = None
 
     # ------------------------------------------------------------------
     # helpers
@@ -115,10 +108,9 @@ class LsmDb(SnapshotFriendly):
     def _next_sst_name(self) -> str:
         return f"{self.name}/sst-{next(self._sst_counter):06d}"
 
-    def _bump_version(self) -> None:
-        """Record a change to the live table set; invalidates every
-        structure-derived cache (min-key lists, read plans)."""
-        self._struct_version += 1
+    def _tables_changed(self) -> None:
+        """Record a change to the live table set (flush, compaction
+        install, bulk load); invalidates the cached min-key lists."""
         self._minkeys.clear()
 
     def _level_minkeys(self, idx: int) -> list:
@@ -139,29 +131,13 @@ class LsmDb(SnapshotFriendly):
         table = level[pos]
         return table if key <= table.max_key else None
 
-    def enable_plan_cache(self) -> None:
-        """Turn on read-plan memoization (replay mode).
-
-        A point lookup's *virtual-time footprint* is exactly its
-        sequence of ``fs.read_page`` calls: bloom probes, index binary
-        searches and min-key scans are pure CPU that charges nothing.
-        Which pages a key's lookup touches depends only on the LSM
-        structure (guarded by ``_struct_version``) and the key — never
-        on cache state — so a recorded plan can re-issue the same
-        ``read_page`` calls and return the same value while skipping
-        all of the pure-CPU search work.  Disabled under fault
-        injection: error paths must re-run the real lookup.
-        """
-        if self._plans is None:
-            self._plans = {}
-
-    def _get_tables(self, key: str, reads: Optional[list] = None):
+    def _get_tables(self, key: str):
         """The table-probing tail of :meth:`get` (memtable already
-        missed); returns the value and optionally records page reads."""
+        missed); returns the value."""
         found = False
         value = None
         for table in self.levels[0]:  # newest first
-            found, value = table.get(key, reads)
+            found, value = table.get(key)
             if found:
                 break
         if not found:
@@ -169,7 +145,7 @@ class LsmDb(SnapshotFriendly):
                 table = self._level_table(idx, key)
                 if table is None:
                     continue
-                found, value = table.get(key, reads)
+                found, value = table.get(key)
                 if found:
                     break
         if not found:
@@ -229,7 +205,7 @@ class LsmDb(SnapshotFriendly):
             writer.add(key, value)
         table = writer.finish()
         self.levels[0].insert(0, table)  # newest first
-        self._bump_version()
+        self._tables_changed()
         self.mem.clear()
         self.wal.rotate()
         self.n_flushes += 1
@@ -255,23 +231,7 @@ class LsmDb(SnapshotFriendly):
                 found, value = self.mem.get(key)
                 if found:
                     return value
-                plans = self._plans
-                if plans is None or self.machine.fs._fault_mode:
-                    return self._get_tables(key)
-                plan = plans.get(key)
-                if plan is not None \
-                        and plan[0] == self._struct_version:
-                    # Replay the recorded page faults — identical
-                    # virtual-time charges, cache transitions and trace
-                    # events — and skip the search CPU around them.
-                    read_page = self.machine.fs.read_page
-                    for file, page in plan[1]:
-                        read_page(file, page)
-                    return plan[2]
-                reads: list = []
-                value = self._get_tables(key, reads)
-                plans[key] = (self._struct_version, tuple(reads), value)
-                return value
+                return self._get_tables(key)
             except (EIO, ETIMEDOUT):
                 # Exhausted-retry read failure: degrade to a miss
                 # rather than tearing down the workload.
@@ -448,7 +408,7 @@ class LsmDb(SnapshotFriendly):
             for key, value in chunk:
                 writer.add(key, value)
             self.levels[bottom].append(writer.finish())
-        self._bump_version()
+        self._tables_changed()
 
     # ------------------------------------------------------------------
     # compaction
@@ -517,7 +477,7 @@ class LsmDb(SnapshotFriendly):
         merged = sorted(self.levels[target] + job.outputs,
                         key=lambda t: t.min_key)
         self.levels[target] = merged
-        self._bump_version()
+        self._tables_changed()
         for table in job.inputs:
             self.machine.fs.delete(table.file.name)
         self.n_compactions += 1

@@ -70,22 +70,15 @@ class SSTable(SnapshotFriendly):
         pos = bisect.bisect_right(self.index, key) - 1
         return max(pos, 0)
 
-    def get(self, key: str,
-            reads: Optional[list] = None) -> tuple[bool, Optional[object]]:
+    def get(self, key: str) -> tuple[bool, Optional[object]]:
         """Point lookup; returns (found, value).
 
         Touches at most one data page through the page cache (plus
-        nothing if the bloom filter says no).  ``reads``, if given,
-        collects the ``(file, page)`` pairs this lookup faults through
-        the cache — the raw material of the replay-mode read plans
-        (:meth:`repro.apps.lsm.db.LsmDb.enable_plan_cache`).
+        nothing if the bloom filter says no).
         """
         if not self.may_contain(key):
             return (False, None)
-        page = self._page_for_key(key)
-        if reads is not None:
-            reads.append((self.file, page))
-        entries = self.fs.read_page(self.file, page)
+        entries = self.fs.read_page(self.file, self._page_for_key(key))
         pos = bisect.bisect_left(entries, (key,))
         if pos < len(entries) and entries[pos][0] == key:
             return (True, entries[pos][1])

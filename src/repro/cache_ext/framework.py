@@ -22,11 +22,11 @@ is where the kernel implements it too.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.cache_ext.lists import EvictionList
 from repro.cache_ext.ops import CacheExtOps, EvictionCtx
-from repro.cache_ext.registry import FolioRegistry, ReplayFolioRegistry
+from repro.cache_ext.registry import FolioRegistry
 from repro.kernel.address_space import AddressSpace
 from repro.kernel.cgroup import MemCgroup
 from repro.kernel.folio import Folio
@@ -50,14 +50,7 @@ class CacheExtPolicy(ExtPolicyBase):
         self.ops = ops
         self.name = ops.name
         nbuckets = memcg.limit_pages or DEFAULT_REGISTRY_BUCKETS
-        # Replay-mode machines get the folio-carried registry layout:
-        # same answers, no hash buckets on the eviction hot loop (see
-        # repro.replay; enable_replay() forbids the watchdog-detach
-        # path that the fast layout cannot represent).
-        if machine.replay_mode:
-            self.registry = ReplayFolioRegistry(nbuckets)
-        else:
-            self.registry = FolioRegistry(nbuckets)
+        self.registry = FolioRegistry(nbuckets)
         # Hot-path bindings: these objects are stable for the life of
         # the attachment, and _charge runs on every hook and kfunc.
         self._memcg_stats = memcg.stats

@@ -120,55 +120,3 @@ class FolioRegistry:
         and (16+32)/4096 ≈ 1.2% full — the paper's bounds.
         """
         return self.memory_overhead_bytes() / (self.nbuckets * PAGE_SIZE)
-
-
-class ReplayFolioRegistry(FolioRegistry):
-    """Replay-mode registry: membership lives on the folio itself.
-
-    Semantically identical to :class:`FolioRegistry` — same insert /
-    remove / contains / node-binding answers for every call sequence
-    the framework issues — but each operation is a slot load or store
-    on the folio (``ext_reg`` marks the owning registry, ``ext_node``
-    *is* the node binding) instead of a hash + dict operation, and the
-    per-bucket lock counters are not maintained (nothing in replay
-    mode reads them).
-
-    Validity rests on two invariants of the full-mode code:
-
-    * ``folio.ext_node`` is set/cleared in lockstep with the registry
-      node binding at every site (lists.attach_folio, the inlined
-      kfunc list_add fast path, framework folio_removed /
-      folios_removed, loader detach), so it can *be* the binding;
-    * only the watchdog-detach path breaks that lockstep, and replay
-      mode refuses to coexist with fault plans / hook budgets
-      (:func:`repro.replay.enable_replay`), so it never runs.
-
-    ``_size`` is still maintained, so Table 4's §6.3.1 memory-overhead
-    arithmetic (:meth:`memory_overhead_bytes`) is unchanged.
-    """
-
-    def insert(self, folio: Folio) -> None:
-        if folio.ext_reg is self:
-            raise RuntimeError(f"registry: duplicate insert of {folio!r}")
-        folio.ext_reg = self
-        folio.ext_node = None
-        self._size += 1
-
-    def remove(self, folio: Folio) -> Optional["ListNode"]:
-        if folio.ext_reg is not self:
-            return None
-        folio.ext_reg = None
-        self._size -= 1
-        return folio.ext_node
-
-    def contains(self, folio: Folio) -> bool:
-        return isinstance(folio, Folio) and folio.ext_reg is self
-
-    def get_node(self, folio: Folio) -> Optional["ListNode"]:
-        return folio.ext_node if folio.ext_reg is self else None
-
-    def set_node(self, folio: Folio, node: Optional["ListNode"]) -> bool:
-        if folio.ext_reg is not self:
-            return False
-        folio.ext_node = node
-        return True

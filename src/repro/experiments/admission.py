@@ -26,7 +26,7 @@ QUICK_SCALE = {"nkeys": 6000, "cgroup_pages": 192, "nops": 4000,
 
 
 def _build_env(filtered: bool, nkeys: int, cgroup_pages: int,
-               mode: str, snapshot: bool):
+               snapshot: bool):
     from repro.apps.lsm import DbOptions
     # A small memtable keeps flushes frequent so background compaction
     # actually runs inside the measured window (the paper's RocksDB
@@ -34,7 +34,7 @@ def _build_env(filtered: bool, nkeys: int, cgroup_pages: int,
     env = make_db_env("default", cgroup_pages=cgroup_pages,
                       nkeys=nkeys, compaction_thread=True,
                       db_options=DbOptions(memtable_entries=256),
-                      mode=mode, snapshot=snapshot)
+                      snapshot=snapshot)
     if filtered:
         ops = make_admission_filter_policy()
         env.machine.attach(env.cgroup, ops)
@@ -46,14 +46,8 @@ def _build_env(filtered: bool, nkeys: int, cgroup_pages: int,
 
 def run_one(filtered: bool, nkeys: int, cgroup_pages: int, nops: int,
             warmup_ops: int, nthreads: int, seed: int = 42,
-            mode: str = "full", snapshot: bool = False):
-    env = _build_env(filtered, nkeys, cgroup_pages, mode, snapshot)
-    if mode == "scan":
-        from repro.scan import ycsb_scan
-        result = ycsb_scan([env], YCSB_WORKLOADS["uniform-rw"],
-                           nkeys=nkeys, nops=nops, nthreads=nthreads,
-                           warmup_ops=warmup_ops, seed=seed)[0]
-        return result, env
+            snapshot: bool = False):
+    env = _build_env(filtered, nkeys, cgroup_pages, snapshot)
     runner = YcsbRunner(env.db, YCSB_WORKLOADS["uniform-rw"],
                         nkeys=nkeys, nops=nops, nthreads=nthreads,
                         warmup_ops=warmup_ops, seed=seed)
@@ -61,45 +55,22 @@ def run_one(filtered: bool, nkeys: int, cgroup_pages: int, nops: int,
 
 
 def prepare_snapshot(nkeys: int = 0, cgroup_pages: int = 0,
-                     mode: str = "full", **_ignored) -> None:
+                     **_ignored) -> None:
     """``snapshot_prepare`` companion mirroring :func:`run_one`'s
     environment shape (fixed default kernel, small memtable)."""
     from repro.apps.lsm import DbOptions
     warm_db_env_snapshot("default", cgroup_pages=cgroup_pages,
                          nkeys=nkeys,
-                         db_options=DbOptions(memtable_entries=256),
-                         mode=mode)
+                         db_options=DbOptions(memtable_entries=256))
 
 
-def _payload(result, env) -> dict:
+def cell(filtered: bool, **params) -> dict:
+    result, env = run_one(filtered, **params)
     metrics = env.cgroup.metrics()
     return {"throughput": result.throughput,
             "p99_read_us": result.p99_read_us,
             "admission_rejects": metrics.stats["admission_rejects"],
             "hit_ratio": metrics.hit_ratio}
-
-
-def cell(filtered: bool, **params) -> dict:
-    result, env = run_one(filtered, **params)
-    return _payload(result, env)
-
-
-def scan_cells(ids: list, cells: list, snapshot: bool = False,
-               prepares=None) -> dict:
-    """Baseline + admission-filter as one multi-cell scan pass (both
-    cells replay the same uniform-R/W stream)."""
-    from repro.scan import ycsb_scan
-    first = cells[0]
-    envs = [_build_env(kw["filtered"], kw["nkeys"], kw["cgroup_pages"],
-                       "scan", snapshot or kw.get("snapshot", False))
-            for kw in cells]
-    results = ycsb_scan(envs, YCSB_WORKLOADS["uniform-rw"],
-                        nkeys=first["nkeys"], nops=first["nops"],
-                        nthreads=first["nthreads"],
-                        warmup_ops=first["warmup_ops"],
-                        seed=first.get("seed", 42))
-    return {cell_id: _payload(result, env)
-            for cell_id, result, env in zip(ids, results, envs)}
 
 
 def plan(quick: bool = False, scale: dict = None) -> ExperimentSpec:
@@ -109,17 +80,12 @@ def plan(quick: bool = False, scale: dict = None) -> ExperimentSpec:
     cells = [CellSpec("admission",
                       "admission-filter" if filtered else "baseline",
                       cell, dict(filtered=filtered, **params),
-                      supports_replay=True, supports_snapshot=True,
-                      snapshot_prepare=prepare_snapshot,
-                      supports_scan=True)
+                      supports_snapshot=True,
+                      snapshot_prepare=prepare_snapshot)
              for filtered in (False, True)]
     return ExperimentSpec("admission", cells, _merge,
                           meta={"labels": ["baseline",
-                                           "admission-filter"],
-                                "scan": {"fn": scan_cells,
-                                         "rows": [("uniform-rw",
-                                                   ["baseline",
-                                                    "admission-filter"])]}})
+                                           "admission-filter"]})
 
 
 def _merge(meta: dict, payloads: dict) -> ExperimentResult:

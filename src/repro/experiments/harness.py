@@ -61,24 +61,12 @@ def set_cell_observer(observer: Optional[Callable[[Machine], None]]):
     return previous
 
 
-def build_machine(policy: str, mode: str = "full") -> Machine:
-    """A machine booted with the right kernel policy for ``policy``.
-
-    ``mode="replay"`` switches the machine onto the trace-replay fast
-    path (:mod:`repro.replay`) before anything else touches it; the
-    resulting counters are bit-identical to ``mode="full"``.
-    """
+def build_machine(policy: str) -> Machine:
+    """A machine booted with the right kernel policy for ``policy``."""
     from repro.kernel.block import BlockDevice
     kernel = "mglru" if policy == "mglru" else "default"
     machine = Machine(kernel_policy=kernel,
                       disk=BlockDevice(**EXPERIMENT_DISK))
-    if mode in ("replay", "scan"):
-        # Scan mode (repro.scan) steps the machine directly and never
-        # runs the engine; its machine is exactly the replay machine.
-        from repro.replay import enable_replay
-        enable_replay(machine)
-    elif mode != "full":
-        raise ValueError(f"unknown execution mode {mode!r}")
     if _cell_observer is not None:
         _cell_observer(machine)
     return machine
@@ -120,8 +108,7 @@ def attach_policy(machine: Machine, cgroup: MemCgroup, policy: str,
         raise ValueError(f"unknown policy {policy!r}")
     machine.attach(cgroup, ops)
     # Post-attach initialization is uniform: every policy goes through
-    # machine.attach above (LHD included — it used to shortcut through
-    # attach_lhd, skipping the one-call API it was meant to exercise).
+    # machine.attach above, LHD included.
     if policy == "lhd":
         init_lhd(machine, ops)
     elif policy == "userspace":
@@ -140,8 +127,7 @@ class DbEnv:
 
 
 def _preattach_env(kernel: str, cgroup_pages: int, nkeys: int,
-                   db_options: DbOptions, cgroup_name: str,
-                   mode: str) -> tuple:
+                   db_options: DbOptions, cgroup_name: str) -> tuple:
     """Cold build of the policy-agnostic pre-attach environment.
 
     Machine + cgroup + bulk-loaded LSM store, *before* any policy
@@ -149,18 +135,16 @@ def _preattach_env(kernel: str, cgroup_pages: int, nkeys: int,
     :func:`make_db_env` snapshots.  ``kernel`` is a kernel flavor
     (``"default"`` | ``"mglru"``), not a policy name.
     """
-    machine = build_machine(kernel, mode=mode)
+    machine = build_machine(kernel)
     cgroup = machine.new_cgroup(cgroup_name, limit_pages=cgroup_pages)
     db = LsmDb(machine, cgroup, options=db_options)
     db.bulk_load(load_items(nkeys))
-    if mode == "replay":
-        db.enable_plan_cache()
     return machine, cgroup, db
 
 
 def _env_image(kernel: str, cgroup_pages: int, nkeys: int,
-               db_options: DbOptions, cgroup_name: str,
-               mode: str) -> "_snapshot.MachineImage":
+               db_options: DbOptions,
+               cgroup_name: str) -> "_snapshot.MachineImage":
     """The cached pre-attach image for one environment shape.
 
     Keyed on everything that shapes the image; the bulk load runs
@@ -172,15 +156,14 @@ def _env_image(kernel: str, cgroup_pages: int, nkeys: int,
     build — the load phase never enters the engine — so observers see
     identical streams either way).
     """
-    key = ("db_env", kernel, mode, cgroup_name, int(cgroup_pages),
+    key = ("db_env", kernel, cgroup_name, int(cgroup_pages),
            int(nkeys), repr(db_options))
 
     def builder():
         previous = set_cell_observer(None)
         try:
             machine, cgroup, db = _preattach_env(
-                kernel, cgroup_pages, nkeys, db_options, cgroup_name,
-                mode)
+                kernel, cgroup_pages, nkeys, db_options, cgroup_name)
         finally:
             set_cell_observer(previous)
         return machine, (cgroup, db)
@@ -190,36 +173,31 @@ def _env_image(kernel: str, cgroup_pages: int, nkeys: int,
 
 def warm_db_env_snapshot(policy: str, cgroup_pages: int, nkeys: int,
                          db_options: Optional[DbOptions] = None,
-                         cgroup_name: str = "app",
-                         mode: str = "full") -> None:
+                         cgroup_name: str = "app") -> None:
     """Materialize the snapshot image ``make_db_env(..., snapshot=True)``
     will restore, without building a cell.  The parallel runner calls
     this in the parent (via the plan's prepare hook) so forked workers
     inherit the image bytes copy-on-write."""
     if db_options is None:
         db_options = DbOptions(memtable_entries=512)
-    if mode == "scan":
-        mode = "replay"
     kernel = "mglru" if policy == "mglru" else "default"
-    _env_image(kernel, cgroup_pages, nkeys, db_options, cgroup_name,
-               mode)
+    _env_image(kernel, cgroup_pages, nkeys, db_options, cgroup_name)
 
 
 def prepare_db_env_snapshot(policy: str = "default", nkeys: int = 0,
-                            cgroup_pages: int = 0, mode: str = "full",
+                            cgroup_pages: int = 0,
                             **_ignored) -> None:
     """Generic ``snapshot_prepare`` companion for cells built on
     :func:`make_db_env` with default options: accepts a cell's full
     kwargs, uses only the fields that shape the image."""
     warm_db_env_snapshot(policy, cgroup_pages=cgroup_pages,
-                         nkeys=nkeys, mode=mode)
+                         nkeys=nkeys)
 
 
 def make_db_env(policy: str, cgroup_pages: int, nkeys: int,
                 db_options: Optional[DbOptions] = None,
                 compaction_thread: bool = False,
                 cgroup_name: str = "app",
-                mode: str = "full",
                 snapshot: bool = False) -> DbEnv:
     """Build the standard DB experiment environment.
 
@@ -232,38 +210,26 @@ def make_db_env(policy: str, cgroup_pages: int, nkeys: int,
     meets a 10 GiB cgroup); otherwise write workloads are dominated by
     flush bursts no real deployment would see.
 
-    ``mode="replay"`` builds the whole stack on the trace-replay fast
-    path: replay machine (:mod:`repro.replay`) plus the LSM read-plan
-    cache.  Counters are bit-identical to the full mode.
-
     ``snapshot=True`` restores the post-load/pre-attach image from the
     process-wide snapshot cache (:mod:`repro.snapshot`) — capturing it
     first if this is the sweep's first cell — instead of re-running the
     bulk load.  The restored graph is fresh and independent per call;
     payloads are byte-identical to a cold build
     (``tests/test_snapshot.py``).
-
-    ``mode="scan"`` builds the *same* environment as ``"replay"`` (the
-    scan steppers in :mod:`repro.scan` drive a replay machine directly
-    and never run the engine), so the two modes share snapshot images
-    and the plan cache; it is normalized here so every image key and
-    cache line is hit by both.
     """
     if db_options is None:
         db_options = DbOptions(memtable_entries=512)
-    if mode == "scan":
-        mode = "replay"
     if snapshot:
         kernel = "mglru" if policy == "mglru" else "default"
         image = _env_image(kernel, cgroup_pages, nkeys, db_options,
-                           cgroup_name, mode)
+                           cgroup_name)
         machine, cgroup, db = _snapshot.restore(image)
         if _cell_observer is not None:
             _cell_observer(machine)
     else:
         machine, cgroup, db = _preattach_env(
             "mglru" if policy == "mglru" else "default", cgroup_pages,
-            nkeys, db_options, cgroup_name, mode)
+            nkeys, db_options, cgroup_name)
     ops = attach_policy(machine, cgroup, policy, cgroup_pages)
     if compaction_thread:
         db.spawn_compaction_thread()
@@ -285,28 +251,16 @@ class CellSpec:
     cell_id: str
     fn: Callable[..., dict]
     kwargs: dict = field(default_factory=dict)
-    #: Whether ``fn`` accepts ``mode="replay"`` and produces the same
-    #: payload under it (hit-ratio-style cells; anything reporting
-    #: wall-clock-independent counters).  The parallel runner's
-    #: ``--mode replay|auto`` only rewrites cells that opt in.
-    supports_replay: bool = False
     #: Whether ``fn`` accepts ``snapshot=True`` and produces the same
     #: payload when its environment is restored from a pre-load image
     #: (:mod:`repro.snapshot`) instead of rebuilt.  The runner's
-    #: ``--snapshot on|auto`` only rewrites cells that opt in.
+    #: ``--snapshot on`` only rewrites cells that opt in.
     supports_snapshot: bool = False
     #: Module-level companion to ``fn`` that *warms* the snapshot image
     #: ``fn`` would restore, given the same kwargs, without running the
     #: cell.  The runner calls it in the parent before forking so
     #: workers inherit the image copy-on-write.
     snapshot_prepare: Optional[Callable[..., None]] = None
-    #: Whether ``fn`` accepts ``mode="scan"`` — the approximate
-    #: decision-level stepper (:mod:`repro.scan`).  Unlike replay, scan
-    #: payloads are *not* bit-identical to the full engine's: hit
-    #: ratios carry a documented tolerance and time-derived fields are
-    #: approximations.  The runner's ``--mode scan`` only rewrites
-    #: cells that opt in, and refuses when tracing/breakdown is armed.
-    supports_scan: bool = False
 
     def execute(self) -> dict:
         return self.fn(**self.kwargs)

@@ -23,7 +23,7 @@ table in the parent.  Three properties make this safe:
 * **Observability** — per-cell wall-clock is reported (stderr by
   default), and ``trace=True`` attaches a ``cache:lookup`` counter to
   every machine a cell builds, giving trace-derived hit ratios that
-  can be compared across execution modes.
+  can be compared across serial, parallel and snapshot runs.
 
 Usage::
 
@@ -90,150 +90,6 @@ class _LookupCounter:
 
     def counts(self) -> dict:
         return {"hits": self.hits, "misses": self.misses}
-
-
-def _scan_group_prepare(ids=None, cells=None, prepares=None,
-                        snapshot=False, **_ignored) -> None:
-    """``snapshot_prepare`` companion for grouped scan rows: warm each
-    member cell's image with its own prepare fn and kwargs."""
-    for kwargs, prep in zip(cells or (), prepares or ()):
-        if prep is not None:
-            prep(**kwargs)
-
-
-def _apply_scan(spec: ExperimentSpec) -> ExperimentSpec:
-    """Rewrite a plan onto the multi-cell scan stepper.
-
-    Cells that share one op stream (``meta["scan"]["rows"]``) are
-    grouped into a single row cell running the experiment's
-    ``meta["scan"]["fn"]`` — one stream decode fans out to every
-    policy cell of the row (:mod:`repro.scan`).  The merge is wrapped
-    to flatten each row's ``{cell_id: payload}`` back into the grid
-    the original merge expects.  Rows are independent and internally
-    serial, so tables stay bit-identical across runs and ``--jobs``.
-    """
-    from repro.scan import ScanUnsupportedError
-    scan_info = spec.meta.get("scan")
-    if scan_info is None or not any(c.supports_scan for c in spec.cells):
-        raise ScanUnsupportedError(
-            f"experiment {spec.name!r} has no scan plan (its cells "
-            f"measure quantities the decision-level stepper cannot "
-            f"approximate); use --mode replay or --mode full")
-    by_id = {cell.cell_id: cell for cell in spec.cells}
-    grouped: set = set()
-    new_cells, row_ids = [], set()
-    for row_id, ids in scan_info["rows"]:
-        members = [by_id[i] for i in ids if i in by_id]
-        if not members:
-            continue  # --cells filtered the whole row away
-        ids = [m.cell_id for m in members]
-        grouped.update(ids)
-        row_ids.add(row_id)
-        new_cells.append(CellSpec(
-            spec.name, row_id, scan_info["fn"],
-            dict(ids=ids,
-                 # mode rides along so snapshot warmers hit the same
-                 # image keys the row's env builds will (scan and
-                 # replay share images — see harness.make_db_env).
-                 cells=[{**m.kwargs, "mode": "scan"} for m in members],
-                 prepares=[m.snapshot_prepare for m in members]),
-            supports_snapshot=all(m.supports_snapshot for m in members),
-            snapshot_prepare=_scan_group_prepare,
-            supports_scan=True))
-    # Cells outside every row (none in the built-in plans) run as-is.
-    new_cells.extend(cell for cell in spec.cells
-                     if cell.cell_id not in grouped)
-    inner_merge = spec.merge
-
-    def merge(meta: dict, payloads: dict):
-        flat = {}
-        for cell_id, payload in payloads.items():
-            if cell_id in row_ids:
-                flat.update(payload)
-            else:
-                flat[cell_id] = payload
-        return inner_merge(meta, flat)
-
-    return ExperimentSpec(spec.name, new_cells, merge, meta=spec.meta,
-                          prepare=spec.prepare)
-
-
-def apply_mode(spec: ExperimentSpec, mode: str, trace: bool = False,
-               breakdown: bool = False,
-               timeseries: bool = False) -> ExperimentSpec:
-    """Rewrite a plan for the requested execution mode.
-
-    * ``"full"`` — the spec unchanged (the reference engine).
-    * ``"replay"`` — every cell that declares ``supports_replay``
-      executes with ``mode="replay"`` (the trace-replay fast path,
-      :mod:`repro.replay`); cells that don't opt in run full.
-      Combining with ``breakdown`` is refused — latency attribution is
-      exactly the instrumentation replay strips.
-    * ``"scan"`` — cells that declare ``supports_scan`` are *grouped*
-      onto the approximate decision-level stepper (:mod:`repro.scan`):
-      one multi-cell pass per shared-stream row.  Hit ratios carry a
-      documented tolerance (see EXPERIMENTS.md) and time-derived
-      columns are decision-level approximations — combining with
-      ``trace`` or ``breakdown`` raises
-      :class:`repro.scan.ScanUnsupportedError` (scan drops the engine
-      loop those consumers hook), as does an experiment with no scan
-      plan.
-    * ``"auto"`` — like ``"replay"``, but silently falls back to the
-      full engine when ``trace``, ``breakdown`` or ``timeseries`` is
-      requested; picks scan instead of replay only when the experiment
-      declares itself hit-ratio-only (``meta["hit_ratio_only"]`` —
-      none of the paper figures do, since their tables report
-      throughput and latency).
-
-    ``timeseries`` (continuous telemetry frames,
-    :mod:`repro.obs.timeseries`) needs the full engine's thread
-    scheduler to tick the sampler: ``"replay"`` refuses it (replay
-    machines reject spawned threads), ``"scan"`` refuses it (no
-    engine at all), ``"auto"`` falls back to full.
-
-    Payloads are bit-identical across full/replay/snapshot for
-    opted-in cells (enforced by ``tests/test_replay.py``), so the
-    merge result never depends on choosing those; scan is the explicit
-    exception and must be asked for by name (or via the auto rule
-    above).
-    """
-    if mode == "full":
-        return spec
-    if mode not in ("replay", "auto", "scan"):
-        raise ValueError(f"unknown execution mode {mode!r}")
-    if mode == "scan":
-        if trace or breakdown or timeseries:
-            from repro.scan import ScanUnsupportedError
-            flag = ("--breakdown" if breakdown
-                    else "--trace" if trace else "--timeseries")
-            raise ScanUnsupportedError(
-                f"mode='scan' cannot honor {flag}: scan mode drops "
-                f"the engine loop that tracepoints, spans and the "
-                f"telemetry sampler hook; use --mode full "
-                f"(or --mode replay for --trace)")
-        return _apply_scan(spec)
-    if trace or breakdown or timeseries:
-        if mode == "auto":
-            return spec
-        if breakdown:
-            raise ValueError(
-                "mode='replay' cannot record latency breakdowns "
-                "(replay strips span instrumentation); use "
-                "mode='full' or mode='auto'")
-        if timeseries:
-            raise ValueError(
-                "mode='replay' cannot sample timeseries frames "
-                "(replay machines refuse the spawned sampler "
-                "thread); use mode='full' or mode='auto'")
-    if mode == "auto" and spec.meta.get("hit_ratio_only") \
-            and spec.meta.get("scan") is not None:
-        return _apply_scan(spec)
-    cells = [dataclasses.replace(
-                 cell, kwargs={**cell.kwargs, "mode": "replay"})
-             if cell.supports_replay else cell
-             for cell in spec.cells]
-    return ExperimentSpec(spec.name, cells, spec.merge, meta=spec.meta,
-                          prepare=spec.prepare)
 
 
 def apply_snapshot(spec: ExperimentSpec, snapshot) -> ExperimentSpec:
@@ -554,8 +410,7 @@ def _execute_parallel(spec: ExperimentSpec, jobs: int, timeout_s: float,
 def execute(spec: ExperimentSpec, jobs: Optional[int] = None,
             serial: bool = False, timeout_s: float = DEFAULT_TIMEOUT_S,
             trace: bool = False, breakdown: bool = False,
-            mode: str = "full", snapshot="off",
-            timeseries=None) -> ExecutionReport:
+            snapshot="off", timeseries=None) -> ExecutionReport:
     """Run every cell of ``spec`` and merge; returns the full report.
 
     ``serial=True`` (or ``jobs=1``, or a platform without ``fork``)
@@ -563,30 +418,27 @@ def execute(spec: ExperimentSpec, jobs: Optional[int] = None,
     reference behaviour the parallel path must reproduce byte for
     byte.  ``breakdown=True`` records a per-cell latency-attribution
     summary in :attr:`ExecutionReport.breakdown`.  ``timeseries``
-    (``True`` for the default cadence, or a sample interval in virtual
-    µs) records per-cell telemetry frames in
+    (``True`` for the default cadence, or a positive sample interval
+    in virtual µs) records per-cell telemetry frames in
     :attr:`ExecutionReport.timeseries` — export with
     :func:`timeseries_jsonl`; byte-identical serial vs ``--jobs`` and
-    cold vs snapshot-restored.  ``mode`` selects
-    the execution engine per :func:`apply_mode` (``"replay"`` /
-    ``"auto"`` route opted-in cells through the trace-replay fast
-    path, with bit-identical payloads).  ``snapshot`` selects
+    cold vs snapshot-restored.  ``snapshot`` selects
     sweep-level machine snapshots per :func:`apply_snapshot`
     (opted-in cells restore the shared post-load image instead of
-    rebuilding it — byte-identical payloads again).
+    rebuilding it — byte-identical payloads).
     """
-    if timeseries in (False, None):
+    # Identity tests: 0 == False, and a zero interval must be refused
+    # below rather than read as "no sampling".
+    if timeseries is None or timeseries is False:
         timeseries = None
     elif timeseries is True:
         from repro.obs.timeseries import DEFAULT_SAMPLE_INTERVAL_US
         timeseries = DEFAULT_SAMPLE_INTERVAL_US
     else:
         timeseries = float(timeseries)
-        if timeseries <= 0:
+        if not timeseries > 0:  # NaN too
             raise ValueError(
                 f"sample interval must be positive: {timeseries}")
-    spec = apply_mode(spec, mode, trace=trace, breakdown=breakdown,
-                      timeseries=timeseries is not None)
     spec = apply_snapshot(spec, snapshot)
     if jobs is None:
         jobs = default_jobs()
@@ -662,86 +514,6 @@ def timeseries_jsonl(report: ExecutionReport) -> str:
     return buf.getvalue()
 
 
-# ----------------------------------------------------------------------
-# scan drift artifact
-# ----------------------------------------------------------------------
-def _exact_reference(experiment: str, scale: str) -> dict:
-    """Committed exact hit ratios for one experiment, if available.
-
-    The drift report compares scan-mode hit ratios against the exact
-    engine's.  The committed ``BENCH_core.json`` carries the exact
-    (full-engine) per-cell hit ratios at its recorded scale; when it
-    matches the run's scale, its cells are the reference.  Otherwise
-    the report still lists every scan cell, with ``exact_hit_ratio``
-    null — an artifact consumer can fill it from its own exact run.
-    """
-    repo_root = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__)))))
-    for candidate in (os.path.join(repo_root, "BENCH_core.json"),
-                      os.path.join(os.getcwd(), "BENCH_core.json")):
-        try:
-            with open(candidate) as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError):
-            continue
-        if doc.get("scale") != scale:
-            continue
-        entry = doc.get("experiments", {}).get(experiment)
-        if entry and entry.get("hit_ratios"):
-            return entry["hit_ratios"]
-    return {}
-
-
-def scan_drift_report(result: ExperimentResult, experiment: str,
-                      scale: str) -> str:
-    """The ``--mode scan`` drift artifact (JSON, deterministic).
-
-    One entry per table row keyed like the bench baselines
-    (``workload/policy``): the scan hit ratio, the exact reference (or
-    null when no committed reference matches the scale), and their
-    absolute delta in percentage points.
-    """
-    reference = _exact_reference(experiment, scale)
-    cells: dict = {}
-    if "hit_ratio" in result.headers:
-        idx = result.headers.index("hit_ratio")
-        for row in result.rows:
-            key = _row_key(result.headers, row)
-            scan_hr = row[idx]
-            exact = reference.get(key)
-            cells[key] = {
-                "scan_hit_ratio": scan_hr,
-                "exact_hit_ratio": exact,
-                "drift_pp": (round(abs(scan_hr - exact) * 100, 4)
-                             if exact is not None else None),
-            }
-    drifts = [c["drift_pp"] for c in cells.values()
-              if c["drift_pp"] is not None]
-    doc = {
-        "experiment": experiment,
-        "mode": "scan",
-        "scale": scale,
-        "reference": "BENCH_core.json" if reference else None,
-        "max_drift_pp": max(drifts) if drifts else None,
-        "cells": cells,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _row_key(headers: list, row: list) -> str:
-    """Identify a table row by its leading label columns (the same
-    keying the bench baselines use: ``workload/policy``).  Metric
-    columns are rounded floats, so the first float ends the label
-    prefix — integer labels like fig8's cluster number stay part of
-    the key."""
-    labels = []
-    for header, value in zip(headers, row):
-        if isinstance(value, float):
-            break
-        labels.append(str(value))
-    return "/".join(labels) if labels else str(row[0])
-
-
 def _subset_merge(meta: dict, payloads: dict) -> ExperimentResult:
     """Merge for ``--cells``-filtered runs: experiment merges assume
     the full grid, so a subset is rendered as raw per-cell payloads."""
@@ -792,29 +564,13 @@ def main(argv: Optional[list] = None) -> int:
                         help="reduced sizes (CI smoke)")
     parser.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_S,
                         help="per-cell timeout in seconds")
-    parser.add_argument("--mode",
-                        choices=("full", "replay", "scan", "auto"),
-                        default="full",
-                        help="execution engine: 'replay' runs "
-                             "replay-capable cells on the trace-replay "
-                             "fast path (bit-identical payloads); "
-                             "'scan' runs scan-capable cells on the "
-                             "approximate decision-level stepper, one "
-                             "multi-cell pass per shared stream "
-                             "(hit ratios within a documented "
-                             "tolerance; a drift report is written "
-                             "next to the table); 'auto' picks replay "
-                             "unless --trace/--breakdown need the "
-                             "full instrumentation")
-    parser.add_argument("--snapshot", choices=("off", "on", "auto"),
+    parser.add_argument("--snapshot", choices=("off", "on"),
                         default="off",
                         help="sweep-level machine snapshots: 'on' "
                              "restores snapshot-capable cells from one "
                              "shared post-load image instead of "
                              "re-running the load per policy "
-                             "(byte-identical tables); 'auto' is "
-                             "equivalent here and exists for API "
-                             "symmetry")
+                             "(byte-identical tables)")
     parser.add_argument("--trace", action="store_true",
                         help="attach cache:lookup counters to every cell")
     parser.add_argument("--breakdown", default=None, metavar="PATH",
@@ -829,18 +585,13 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--sample-interval-us", type=float,
                         default=None, metavar="US",
                         help="timeseries frame width in virtual "
-                             "microseconds (default 10000)")
+                             "microseconds, > 0 (default 10000)")
     parser.add_argument("--cells", default=None, metavar="PATTERN",
                         help="run only cells whose id matches this glob "
                              "(e.g. 'C/mru'); the table shows raw "
                              "per-cell payloads")
     parser.add_argument("-o", "--output", default=None,
                         help="also write the table to this file")
-    parser.add_argument("--drift-report", default=None, metavar="PATH",
-                        help="with --mode scan: where to write the "
-                             "per-cell |scan - exact| hit-ratio drift "
-                             "artifact (default: next to --output, or "
-                             "<experiment>-scan-drift.json)")
     args = parser.parse_args(argv)
 
     module = _load_experiment(args.experiment)
@@ -850,24 +601,20 @@ def main(argv: Optional[list] = None) -> int:
             spec = filter_cells(spec, args.cells)
         except ValueError as exc:
             parser.error(str(exc))
-    if args.sample_interval_us is not None and args.timeseries is None:
-        parser.error("--sample-interval-us needs --timeseries PATH")
+    if args.sample_interval_us is not None:
+        if args.timeseries is None:
+            parser.error("--sample-interval-us needs --timeseries PATH")
+        if not args.sample_interval_us > 0:
+            parser.error(f"--sample-interval-us must be positive, got "
+                         f"{args.sample_interval_us:g}")
     timeseries = None
     if args.timeseries is not None:
         timeseries = (args.sample_interval_us
                       if args.sample_interval_us is not None else True)
-        if args.mode == "replay":
-            parser.error("--timeseries needs the full engine to tick "
-                         "the sampler; use --mode full or --mode auto")
-    from repro.scan import ScanUnsupportedError
-    try:
-        report = execute(spec, jobs=args.jobs, serial=args.serial,
-                         timeout_s=args.timeout, trace=args.trace,
-                         breakdown=args.breakdown is not None,
-                         mode=args.mode, snapshot=args.snapshot,
-                         timeseries=timeseries)
-    except ScanUnsupportedError as exc:
-        parser.error(str(exc))
+    report = execute(spec, jobs=args.jobs, serial=args.serial,
+                     timeout_s=args.timeout, trace=args.trace,
+                     breakdown=args.breakdown is not None,
+                     snapshot=args.snapshot, timeseries=timeseries)
     table = report.result.format_table()
     print(table)
     if args.breakdown:
@@ -896,15 +643,6 @@ def main(argv: Optional[list] = None) -> int:
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(table + "\n")
-    if args.mode == "scan":
-        drift_path = args.drift_report or (
-            args.output + ".drift.json" if args.output
-            else f"{args.experiment}-scan-drift.json")
-        with open(drift_path, "w") as fh:
-            fh.write(scan_drift_report(
-                report.result, args.experiment,
-                "quick" if args.quick else "full"))
-        print(f"drift report: {drift_path}", file=sys.stderr)
     return 0
 
 

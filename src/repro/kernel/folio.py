@@ -42,8 +42,7 @@ class Folio:
 
     __slots__ = ("id", "mapping", "mapping_id", "index", "memcg",
                  "referenced", "active", "dirty", "uptodate", "workingset",
-                 "pin_count", "inserted_at", "lru_node", "ext_node",
-                 "ext_reg")
+                 "pin_count", "inserted_at", "lru_node", "ext_node")
 
     def __init__(self, mapping: "AddressSpace", index: int,
                  memcg: "MemCgroup") -> None:
@@ -68,11 +67,6 @@ class Folio:
         self.lru_node = None
         #: Node on the attached cache_ext policy's eviction lists.
         self.ext_node = None
-        #: Owning replay-mode registry, or None.  The replay fast path
-        #: (:class:`repro.cache_ext.registry.ReplayFolioRegistry`)
-        #: carries registry membership on the folio itself instead of
-        #: in hash buckets; full-mode registries never touch this.
-        self.ext_reg = None
 
     # ------------------------------------------------------------------
     def pin(self) -> None:

@@ -89,11 +89,6 @@ class Machine(SnapshotFriendly):
         #: Armed fault injector (:meth:`arm_faults`), or None — the
         #: default, costing each gated site one load and a branch.
         self.faults = None
-        #: True once :func:`repro.replay.enable_replay` has switched
-        #: this machine onto the trace-replay fast path (trimmed
-        #: scheduler loop, folio-carried registries, LSM read plans).
-        #: Components built afterwards consult it to pick fast layouts.
-        self.replay_mode = False
         #: Per-hook runtime budget for cache_ext policies, in CPU
         #: microseconds charged per dispatch (None = no budget).
         self.hook_budget_us: Optional[float] = None
@@ -136,31 +131,23 @@ class Machine(SnapshotFriendly):
         """Attach an eviction policy to a cgroup (the one-call API).
 
         ``cgroup`` may be a :class:`MemCgroup` or a cgroup name;
-        ``ops`` may be a ready :class:`~repro.cache_ext.ops.CacheExtOps`,
-        a :class:`~repro.cache_ext.ops.PolicyBuilder` instance, or a
-        ``PolicyBuilder`` subclass (instantiated with defaults)::
+        ``ops`` may be a ready :class:`~repro.cache_ext.ops.CacheExtOps`
+        or a :class:`~repro.cache_ext.ops.PolicyBuilder` instance::
 
             machine.attach("analytics", MruPolicy(skip=4))
 
         Returns the live :class:`~repro.cache_ext.framework.CacheExtPolicy`.
         """
         from repro.cache_ext.loader import load_policy
-        from repro.cache_ext.ops import PolicyBuilder
+        from repro.cache_ext.ops import CacheExtOps, PolicyBuilder
         if isinstance(cgroup, str):
             cgroup = self.cgroup(cgroup)
-        if isinstance(ops, type) and issubclass(ops, PolicyBuilder):
-            # Class form predates the builder API settling on
-            # instances; it hid "defaults only" attaches among
-            # configured ones, so it now warns.
-            import warnings
-            warnings.warn(
-                "passing a PolicyBuilder class to Machine.attach is "
-                "deprecated; pass an instance, e.g. "
-                "machine.attach(cgroup, FifoPolicy())",
-                DeprecationWarning, stacklevel=2)
-            ops = ops()
         if isinstance(ops, PolicyBuilder):
             ops = ops.build()
+        elif not isinstance(ops, CacheExtOps):
+            raise TypeError(
+                f"attach needs a CacheExtOps or a PolicyBuilder "
+                f"instance, got {ops!r}")
         return load_policy(self, cgroup, ops)
 
     def detach(self, cgroup) -> None:

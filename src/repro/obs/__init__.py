@@ -11,7 +11,7 @@ better, and this package is how:
   JSONL round-trip (the ftrace ring buffer analogue);
 * :mod:`repro.obs.collectors` — bpftrace-style aggregation:
   log2 :class:`Histogram`, per-cgroup I/O latency, inter-reference
-  distance, hit-ratio-over-time;
+  distance, windowed hit/miss series;
 * :mod:`repro.obs.metrics` — one-call typed snapshots surfaced as
   ``Machine.metrics()`` / ``MemCgroup.metrics()``;
 * :mod:`repro.obs.spans` / :mod:`repro.obs.attr` — span-based latency
@@ -30,7 +30,7 @@ to its real-kernel analogue.
 
 from repro.obs.attr import SpanAggregator, SpanStats, format_breakdown
 from repro.obs.collectors import (Collector, EventCounter, Histogram,
-                                  HitRatioTimeline, InterReferenceCollector,
+                                  InterReferenceCollector,
                                   IoLatencyCollector, WindowedSeries)
 from repro.obs.metrics import (CgroupMetrics, MachineMetrics, PolicyMetrics,
                                snapshot_cgroup, snapshot_machine)
@@ -47,7 +47,7 @@ __all__ = [
     "Tracepoint", "TraceRegistry", "TraceSession", "TraceEvent",
     "NULL_TRACEPOINT", "read_jsonl",
     "Collector", "EventCounter", "Histogram", "WindowedSeries",
-    "IoLatencyCollector", "InterReferenceCollector", "HitRatioTimeline",
+    "IoLatencyCollector", "InterReferenceCollector",
     "MachineMetrics", "CgroupMetrics", "PolicyMetrics",
     "snapshot_machine", "snapshot_cgroup",
     "COMPONENTS", "Span", "SpanRecorder",

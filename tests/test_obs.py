@@ -19,8 +19,8 @@ from repro.ebpf.runtime import bpf_program
 from repro.kernel import Machine
 from repro.kernel.machine import KERNEL_TRACEPOINTS
 from repro.obs import (NULL_TRACEPOINT, EventCounter, Histogram,
-                       HitRatioTimeline, InterReferenceCollector,
-                       IoLatencyCollector, TraceEvent, Tracepoint,
+                       InterReferenceCollector, IoLatencyCollector,
+                       LookupTimeline, TraceEvent, Tracepoint,
                        TraceRegistry, TraceSession)
 from repro.policies.fifo import FifoPolicy, make_fifo_policy
 from repro.policies.mru import MruPolicy, make_mru_policy
@@ -267,13 +267,20 @@ class TestCollectors:
 
     def test_hit_ratio_timeline_overall_matches_stats(self):
         machine, cg, f = make_env(limit=16)
-        with pytest.warns(DeprecationWarning):  # shim onto LookupTimeline
-            timeline = HitRatioTimeline(window_us=50.0)
+        timeline = LookupTimeline(window_us=50.0)
         with TraceSession(machine, collectors=[timeline], buffer=False):
             run_reads(machine, f, cg, [i % 24 for i in range(200)])
         assert timeline.overall("t") == cg.stats.hit_ratio
         series = timeline.series("t")
         assert len(series) > 1  # the run spans multiple windows
+
+        # Hand-made events: one point per non-empty window.
+        timeline = LookupTimeline(window_us=50_000.0)
+        for ts, hit in ((0.0, 1), (10_000.0, 0), (60_000.0, 1)):
+            timeline.handle(TraceEvent("cache:lookup", ts, "app", 0,
+                                       {"hit": hit}))
+        assert timeline.series("app") == [(0.0, 0.5), (50_000.0, 1.0)]
+        assert timeline.overall("app") == 2 / 3
 
     def test_inter_reference_distances(self):
         machine, cg, f = make_env()
@@ -314,19 +321,16 @@ class TestPolicyBuilder:
             results.append(cg.stats.snapshot())
         assert results[0] == results[1]
 
-    def test_attach_accepts_builder_class(self):
-        machine, cg, f = make_env()
-        # Class form is the deprecated spelling; it still attaches but
-        # warns toward machine.attach(cg, FifoPolicy()).
-        with pytest.warns(DeprecationWarning, match="PolicyBuilder"):
-            policy = machine.attach(cg, FifoPolicy)
-        assert cg.ext_policy is policy
-        assert policy.name == "fifo"
-
     def test_attach_accepts_cgroup_name(self):
         machine, cg, f = make_env()
-        machine.attach("t", MruPolicy())
-        assert cg.ext_policy is not None
+        policy = machine.attach("t", MruPolicy())
+        assert cg.ext_policy is policy
+        assert policy.name == "mru"
+        machine.detach("t")
+        # Only instances attach; a bare builder class is a type error.
+        with pytest.raises(TypeError, match="PolicyBuilder instance"):
+            machine.attach("t", FifoPolicy)
+        assert cg.ext_policy is None
 
     def test_unknown_slot_name_rejected_at_class_definition(self):
         with pytest.raises(ValueError, match="not a cache_ext_ops slot"):

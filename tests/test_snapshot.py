@@ -6,7 +6,7 @@ once with a cold-built environment, once restored from the post-load
 image (``snapshot=True``) — and requiring the *entire payload dict* to
 compare equal, floats included.  Coverage spans the stream families
 (YCSB, Twitter clusters, GET-SCAN, admission) and every attachable
-policy, both execution modes, plus the refusal and mutation-isolation
+policy, plus the refusal and mutation-isolation
 guarantees of :mod:`repro.snapshot` driven directly.
 
 Scales are kept small: equality at any scale exercises the same code
@@ -55,11 +55,10 @@ class TestYcsbEquality:
             fig6.cell, policy="lfu", workload=workload, **YCSB_SCALE)
         assert cold == restored
 
-    @pytest.mark.parametrize("mode", ("full", "replay"))
+    @pytest.mark.parametrize("mode", ("full",))
     def test_both_modes_bit_identical(self, mode):
         cold, restored = cold_and_restored(
-            fig6.cell, policy="s3fifo", workload="B", mode=mode,
-            **YCSB_SCALE)
+            fig6.cell, policy="s3fifo", workload="B", **YCSB_SCALE)
         assert cold == restored
 
 

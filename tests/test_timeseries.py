@@ -12,8 +12,8 @@ The virtual-time sampler (:mod:`repro.obs.timeseries`) promises:
   reads);
 * **byte-identical artifacts** — the JSONL export is the same bytes
   serial vs ``--jobs`` and cold vs snapshot-restored;
-* **typed refusals** — replay and scan modes refuse the sampler with
-  a typed error, ``mode="auto"`` falls back to the full engine;
+* **typed refusals** — a non-positive sample interval is refused,
+  through the sampler, :func:`repro.api.run` and the runner CLI;
 * **fault localization** — the analyzer (:mod:`repro.obs.analyze`)
   localizes an injected device brownout to within one sample
   interval, via the frames alone.
@@ -21,22 +21,19 @@ The virtual-time sampler (:mod:`repro.obs.timeseries`) promises:
 
 import io
 import json
-import warnings
 
 import pytest
 
 from repro import api
 from repro.experiments import fig6
 from repro.experiments.harness import make_db_env
+from repro.experiments import parallel
 from repro.experiments.parallel import execute, timeseries_jsonl
 from repro.faults.plan import DeviceFault, FaultPlan
-from repro.kernel.machine import Machine
 from repro.obs import analyze, guard
-from repro.obs.collectors import HitRatioTimeline, WindowedSeries
-from repro.obs.timeseries import (LookupTimeline, TimeseriesSampler,
-                                  frame_totals, read_frames_jsonl)
-from repro.replay import enable_replay
-from repro.scan import ScanUnsupportedError
+from repro.obs.collectors import WindowedSeries
+from repro.obs.timeseries import (TimeseriesSampler, frame_totals,
+                                  read_frames_jsonl)
 from repro.workloads.ycsb import YCSB_WORKLOADS, YcsbRunner
 
 # Small-but-busy YCSB scale: enough traffic to cross many frame
@@ -138,33 +135,31 @@ class TestArtifactDeterminism:
 
 
 class TestRefusals:
-    def test_replay_mode_refused(self):
-        with pytest.raises(ValueError, match="replay"):
-            api.run("fig6", quick=True, mode="replay", policy="mru",
-                    timeseries=True)
-
-    def test_scan_mode_refused(self):
-        with pytest.raises(ScanUnsupportedError):
-            api.run("fig6", quick=True, mode="scan", policy="mru",
-                    timeseries=True)
-
-    def test_auto_mode_falls_back_to_full(self):
-        spec = fig6.plan(quick=True, policies=("mru",), workloads=("C",),
-                         scale=dict(fig6.QUICK_SCALE, **SCALE))
-        report = api.run(spec, mode="auto", timeseries=2_000.0)
-        assert report.timeseries
-        doc = next(iter(report.timeseries.values()))
-        assert doc["machines"][0]["n_frames"] > 0
-
-    def test_attach_on_replay_machine_refused(self):
-        machine = Machine()
-        enable_replay(machine)
-        with pytest.raises(ValueError, match="replay"):
-            TimeseriesSampler().attach(machine)
-
     def test_nonpositive_interval_refused(self):
         with pytest.raises(ValueError):
             TimeseriesSampler(0.0)
+
+    @pytest.mark.parametrize("interval", (0, 0.0, -5))
+    def test_api_zero_interval_raises(self, interval):
+        # 0 == False in Python: a zero interval must not silently
+        # mean "no sampling".
+        spec = fig6.plan(quick=True, policies=("mru",), workloads=("C",),
+                         scale=dict(fig6.QUICK_SCALE, **SCALE))
+        with pytest.raises(ValueError, match="positive"):
+            api.run(spec, timeseries=interval)
+
+    @pytest.mark.parametrize("interval", ("0", "-5"))
+    def test_cli_nonpositive_interval_exits_2(self, interval, tmp_path,
+                                              capsys):
+        frames = tmp_path / "f.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            parallel.main(["fig6", "--quick", "--cells", "C/mru",
+                           "--serial", "--timeseries", str(frames),
+                           "--sample-interval-us", interval])
+        assert exc.value.code == 2
+        assert "--sample-interval-us must be positive" \
+            in capsys.readouterr().err
+        assert not frames.exists()
 
 
 class TestFaultLocalization:
@@ -231,30 +226,6 @@ class TestFaultLocalization:
 
 
 class TestCollectorsCompat:
-    def test_hit_ratio_timeline_shim_warns_and_delegates(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            timeline = HitRatioTimeline(window_us=50_000.0)
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        assert timeline.window_us == 50_000.0
-        # Same events -> same series as the replacement.
-        direct = LookupTimeline(window_us=50_000.0)
-
-        class Event:
-            name = "cache:lookup"
-            cgroup = "app"
-
-            def __init__(self, ts_us, hit):
-                self.ts_us = ts_us
-                self.data = {"hit": hit}
-
-        for ts, hit in ((0.0, 1), (10_000.0, 0), (60_000.0, 1)):
-            timeline.handle(Event(ts, hit))
-            direct.handle(Event(ts, hit))
-        assert timeline.series("app") == direct.series("app")
-        assert timeline.overall("app") == direct.overall("app") == 2 / 3
-
     def test_windowed_series_boundaries_are_half_open(self):
         series = WindowedSeries(window_us=100.0)
         series.add(0.0, num=1.0)
