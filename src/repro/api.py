@@ -1,8 +1,8 @@
 """One facade for building machines and running experiments.
 
 Before this module, driving the reproduction meant knowing several
-layers by name: ``Machine(...)`` plus post-construction pokes
-(``machine.fs.bulk_io_enabled``, ``machine.engine.burst_enabled``),
+layers by name: ``Machine(...)`` plus post-construction setup
+(a ``BlockDevice`` to build, cgroups to create),
 ``harness.make_db_env`` for DB cells, ``<experiment>.plan()`` +
 ``parallel.execute(...)`` for sweeps, ``machine.arm_faults`` for fault
 plans.  This module collapses that to two entry points:
@@ -52,17 +52,13 @@ from repro.kernel.machine import Machine
 class MachineConfig:
     """Declarative description of one simulated host.
 
-    Consolidates every knob that used to be a constructor kwarg or a
-    post-construction attribute poke:
+    Consolidates the constructor kwargs and the cgroups a machine
+    starts with:
 
     * ``kernel_policy`` — ``"default"`` or ``"mglru"`` (Machine kwarg);
     * ``disk`` — :class:`~repro.kernel.block.BlockDevice` kwargs, e.g.
       ``{"read_us": 95.0, "write_us": 30.0, "channels": 2}``;
     * ``costs`` — a :class:`~repro.sim.resources.CpuCosts` override;
-    * ``bulk_io_enabled`` — batched sequential reads in the VFS
-      (previously ``machine.fs.bulk_io_enabled = ...``);
-    * ``burst_enabled`` — the engine's burst-scheduling fast path
-      (previously ``machine.engine.burst_enabled = ...``);
     * ``cgroups`` — ``(name, limit_pages)`` pairs created at build.
 
     Frozen, so one config can stamp out any number of machines (use
@@ -72,8 +68,6 @@ class MachineConfig:
     kernel_policy: str = "default"
     disk: Optional[dict] = None
     costs: Optional[object] = None
-    bulk_io_enabled: bool = True
-    burst_enabled: bool = True
     cgroups: tuple = ()
 
     def build(self) -> Machine:
@@ -82,8 +76,6 @@ class MachineConfig:
             kernel_policy=self.kernel_policy,
             disk=BlockDevice(**self.disk) if self.disk else None,
             costs=self.costs)
-        machine.fs.bulk_io_enabled = self.bulk_io_enabled
-        machine.engine.burst_enabled = self.burst_enabled
         for name, limit_pages in self.cgroups:
             machine.new_cgroup(name, limit_pages=limit_pages)
         return machine

@@ -115,11 +115,6 @@ class PageCache(SnapshotFriendly):
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _charge_cpu(self, us: float) -> None:
-        thread = current_thread()
-        if thread is not None:
-            thread.advance(us)
-
     def _current_cgroup(self) -> MemCgroup:
         thread = current_thread()
         if thread is not None and thread.cgroup is not None:
@@ -432,13 +427,12 @@ class PageCache(SnapshotFriendly):
                      fallback_from: int) -> int:
         """Complete eviction for a whole validated candidate batch.
 
-        Per-folio *simulated* behaviour is identical to calling
-        :meth:`evict_folio` in a loop — writeback, shadow entry, list
-        unlink and CPU charges happen folio by folio in the same order,
-        so disk queueing and virtual time are unchanged.  What the
-        batch saves is Python dispatch: stats objects, tracepoints, the
-        disk, the kernel policy and the CPU-cost constants are bound
-        once per 32-folio batch instead of re-resolved per folio.
+        Writeback, shadow entry, list unlink and CPU charges happen
+        folio by folio in candidate order; stats objects, tracepoints,
+        the disk, the kernel policy and the CPU-cost constants are
+        bound once per batch.  :meth:`evict_folio` is the one-folio
+        case.  Candidates whose writeback fails stay dirty and
+        resident.
         """
         disk_write = self.machine.disk.write
         thread = current_thread()
@@ -531,7 +525,9 @@ class PageCache(SnapshotFriendly):
         """Complete one eviction; returns False if the folio cannot go.
 
         Dirty folios are written back first (counted disk I/O — this is
-        how write-heavy workloads show up on Figure 7's x-axis).
+        how write-heavy workloads show up on Figure 7's x-axis); a
+        failed writeback leaves the folio dirty and resident.  The work
+        is :meth:`_evict_batch`'s for a one-folio batch.
 
         Raises :class:`EBUSY` for a pinned folio: the caller asked to
         evict a page the kernel is actively using (batch reclaim never
@@ -552,43 +548,7 @@ class PageCache(SnapshotFriendly):
         if span is not None:
             sect = span.begin_section("reclaim_stall", thread.clock_us)
         try:
-            if folio.dirty:
-                try:
-                    self.machine.disk.write(thread, 1)
-                except (EIO, ETIMEDOUT):
-                    # Writeback failed: leave the folio dirty+resident.
-                    memcg.stats.writeback_errors += 1
-                    self.stats.writeback_errors += 1
-                    return False
-                folio.dirty = False
-                memcg.stats.writebacks += 1
-                self.stats.writebacks += 1
-                tp = self._tp_writeback
-                if tp.enabled:
-                    ts, tid = self._trace_point()
-                    tp.emit(ts, memcg.name, tid,
-                            file=folio.mapping.file_id,
-                            index=folio.index)
-            shadow = make_shadow(
-                memcg,
-                workingset=folio.active or folio.workingset,
-                tier=memcg.kernel_policy.eviction_tier(folio))
-            folio.mapping.store_shadow(folio.index, shadow)
-            file_id = folio.mapping.file_id
-            index = folio.index
-            active = folio.active
-            self._remove_folio(folio, memcg)
-            memcg.eviction_clock += 1
-            memcg.stats.evictions += 1
-            self.stats.evictions += 1
-            tp = self._tp_evict
-            if tp.enabled:
-                ts, tid = self._trace_point()
-                tp.emit(ts, memcg.name, tid, file=file_id, index=index,
-                        active=1 if active else 0,
-                        charged=memcg.charged_pages)
-            self._charge_cpu(self.machine.costs.evict_us)
-            return True
+            return self._evict_batch(memcg, None, [folio], 1) == 1
         finally:
             if span is not None:
                 span.end_section(thread.clock_us, sect)
@@ -600,10 +560,7 @@ class PageCache(SnapshotFriendly):
         eviction request: policies are told to clean up metadata, no
         shadow entry is left.
         """
-        memcg = folio.memcg
-        if folio.mapping is None:
-            return
-        self._remove_folio(folio, memcg)
+        self.remove_folios_no_shadow([folio])
 
     def remove_folios_no_shadow(self, folios) -> None:
         """Batched removal outside the eviction path (truncate/delete).
@@ -633,10 +590,3 @@ class PageCache(SnapshotFriendly):
             if ext is not None:
                 ext.folios_removed(group)
             memcg.uncharge(len(group))
-
-    def _remove_folio(self, folio: Folio, memcg: MemCgroup) -> None:
-        folio.mapping.remove(folio)
-        memcg.kernel_policy.folio_removed(folio)
-        if memcg.ext_policy is not None:
-            memcg.ext_policy.folio_removed(folio)
-        memcg.uncharge()

@@ -87,10 +87,6 @@ class SimFile(SnapshotFriendly):
 class Filesystem(SnapshotFriendly):
     """Machine-wide VFS: file namespace + page-cache-mediated I/O."""
 
-    #: When True (default), :meth:`read_range` takes the batched fast
-    #: path for cgroups without a cache_ext policy.  Clearing it forces
-    #: per-page semantics everywhere (debugging / equivalence tests).
-    bulk_io_enabled = True
     #: Set by :meth:`repro.kernel.machine.Machine.arm_faults`.  When
     #: True, device I/O goes through :meth:`_io_with_retry` (bounded
     #: retry + error accounting); the fault-free hot path keeps its
@@ -113,9 +109,9 @@ class Filesystem(SnapshotFriendly):
 
     def _account_misses(self, cache, memcg, f: SimFile, indices) -> None:
         """Miss accounting — the single source of truth shared by
-        :meth:`read_page`, :meth:`write_page` and the batched range
-        path: bump the accessing cgroup's and the global lookup/miss
-        counters once for the whole batch, then trace each miss."""
+        :meth:`read_page` and :meth:`write_page`: bump the accessing
+        cgroup's and the global lookup/miss counters once for the whole
+        batch, then trace each miss."""
         n = len(indices)
         mstats = memcg.stats
         mstats.misses += n
@@ -232,9 +228,7 @@ class Filesystem(SnapshotFriendly):
                 span = self._spans.open(_thread, "vfs.read")
         try:
             cache = self.machine.page_cache
-            # Inlined _update_seq_state: read_page runs once per access
-            # and the helper frame is measurable on miss-heavy
-            # workloads.
+            # Sequential-stream detection (feeds readahead).
             if index == f.last_read_index + 1:
                 f.seq_streak += 1
             else:
@@ -323,19 +317,11 @@ class Filesystem(SnapshotFriendly):
     def read_range(self, f: SimFile, start: int, npages: int) -> list:
         """Sequential multi-page read; returns stored objects in order.
 
-        Fast path (the default): the whole range is classified against
-        the mapping in one pass, statistics are charged and trace
-        events emitted in bulk, missing folios (plus one trailing
-        readahead window) are inserted without re-entering
-        :meth:`read_page` per index, and all missing pages go to the
-        device as a single batched request.
-
-        Opt-out: when the accessing cgroup has a cache_ext policy
-        attached — or :attr:`bulk_io_enabled` is cleared — the read
-        falls back to the per-page loop, so policies hooking
-        per-access callbacks (admission, readahead hints, per-folio
-        ``folio_accessed``) see every event exactly as ``read_page``
-        dispatches it.
+        Each page goes through :meth:`read_page`, so statistics, trace
+        events, readahead and every cache_ext callback are exactly
+        those of ``npages`` consecutive single-page reads.  One
+        ``vfs.read_range`` span covers the whole range; the per-page
+        reads inside it are absorbed (spans are non-reentrant).
         """
         if npages <= 0:
             return []
@@ -344,11 +330,6 @@ class Filesystem(SnapshotFriendly):
         if start < 0 or start + npages > f.npages:
             raise EINVAL(f"{f.name}: range [{start}, {start + npages}) "
                          f"past EOF ({f.npages} pages)")
-        cache = self.machine.page_cache
-        memcg = cache._current_cgroup()
-        # One span covers the whole range on both paths: per-page
-        # read_page calls inside it are absorbed (non-reentrancy), and
-        # the bulk path charges its batched costs against it directly.
         span = None
         tp = self._tp_span
         if tp.enabled:
@@ -356,123 +337,11 @@ class Filesystem(SnapshotFriendly):
             if _thread is not None and _thread.span is None:
                 span = self._spans.open(_thread, "vfs.read_range")
         try:
-            if not self.bulk_io_enabled or memcg.ext_policy is not None:
-                return [self.read_page(f, idx)
-                        for idx in range(start, start + npages)]
-            return self._read_range_bulk(f, start, npages, cache, memcg)
+            return [self.read_page(f, idx)
+                    for idx in range(start, start + npages)]
         finally:
             if span is not None:
                 self._spans.close(_thread, span)
-
-    def _read_range_bulk(self, f: SimFile, start: int, npages: int,
-                         cache, memcg) -> list:
-        """One-pass batched range read (no cache_ext policy attached).
-
-        Trace events carry one timestamp for the whole batch — a
-        single batched syscall charges no CPU between pages — but the
-        per-page event *sequence* (one ``cache:lookup`` per page in
-        index order, one ``cache:insert`` per missing page) matches
-        the per-page path.
-        """
-        end = start + npages
-        lookup = f.mapping.lookup
-        page_states = []
-        missing = []
-        nhits = 0
-        for index in range(start, end):
-            folio = lookup(index)
-            page_states.append(folio)
-            if folio is None:
-                missing.append(index)
-            else:
-                nhits += 1
-
-        # Sequential-detection state, exactly as npages consecutive
-        # read_page calls would leave it (feeds trailing readahead).
-        if start == f.last_read_index + 1:
-            f.seq_streak += npages
-        else:
-            f.seq_streak = npages - 1
-        f.last_read_index = end - 1
-
-        nmiss = len(missing)
-        mstats = memcg.stats
-        stats = cache.stats
-        mstats.lookups += npages
-        stats.lookups += npages
-        mstats.hits += nhits
-        stats.hits += nhits
-        mstats.misses += nmiss
-        stats.misses += nmiss
-        tp = cache._tp_lookup
-        if tp.enabled:
-            ts, tid = cache._trace_point()
-            name = memcg.name
-            fid = f.file_id
-            for offset, folio in enumerate(page_states):
-                tp.emit(ts, name, tid, hit=0 if folio is None else 1,
-                        file=fid, index=start + offset)
-
-        thread = current_thread()
-        if nhits:
-            if thread is not None:
-                us = self.machine.costs.cache_hit_us * nhits
-                thread.advance(us)
-                # Batched span charge: one add for the whole batch's
-                # hit servicing (the per-page path charges per hit).
-                span = thread.span
-                if span is not None:
-                    span.add("cache_hit", us)
-            if not f.noreuse:
-                for folio in page_states:
-                    if folio is None:
-                        continue
-                    owner = folio.memcg
-                    owner.kernel_policy.folio_accessed(folio)
-                    # Hit folios may be owned by *other* cgroups whose
-                    # policies still get their per-folio callback.
-                    ext = owner.ext_policy
-                    if ext is not None:
-                        ext.folio_accessed(folio)
-        if nmiss == 0:
-            store_get = f.store.get
-            return [store_get(index) for index in range(start, end)]
-
-        # Insert every missing folio directly (full add_folio
-        # semantics: refault detection, charging, reclaim) — no
-        # admission filter can reject here, the bulk path requires no
-        # ext policy on the accessing cgroup.  The explicit range
-        # subsumes readahead: pages after the first miss are exactly
-        # the readahead folios, inserted without re-entering
-        # read_page per index.
-        add_folio = cache.add_folio
-        mapping = f.mapping
-        if self._fault_mode:
-            inserted_folios = []
-            for index in missing:
-                fo = add_folio(mapping, index, memcg)
-                if fo is not None:
-                    inserted_folios.append(fo)
-            try:
-                self._io_with_retry("read", thread, nmiss)
-            except (EIO, ETIMEDOUT):
-                # Exhausted retries: the batch never arrived; drop the
-                # folios inserted for it (see read_page).
-                cache.remove_folios_no_shadow(inserted_folios)
-                raise
-        else:
-            for index in missing:
-                add_folio(mapping, index, memcg)
-            self.machine.disk.read(thread, nmiss)
-        store_get = f.store.get
-        return [store_get(index) for index in range(start, end)]
-
-    def _update_seq_state(self, f: SimFile, index: int) -> None:
-        if index == f.last_read_index + 1:
-            f.seq_streak += 1
-        else:
-            f.seq_streak = 0
-        f.last_read_index = index
 
     def _readahead_indices(self, f: SimFile, index: int,
                            memcg=None) -> list[int]:

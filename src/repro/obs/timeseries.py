@@ -549,6 +549,8 @@ class LookupTimeline(Collector):
     tracepoints = ("cache:lookup",)
 
     def __init__(self, window_us: float = 100_000.0) -> None:
+        if window_us <= 0:
+            raise ValueError(f"window must be positive: {window_us}")
         self.window_us = window_us
         self.per_cgroup: dict[str, WindowedSeries] = {}
 

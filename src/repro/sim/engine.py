@@ -135,14 +135,6 @@ class Engine(SnapshotFriendly):
         self._live_nondaemon = 0
         self._nr_done = 0
         self.now_us: float = 0.0
-        #: Burst scheduling: after stepping a thread, keep stepping it
-        #: while its clock stays *strictly* below the heap top's,
-        #: skipping the push/pop round-trip.  The schedule is provably
-        #: identical — on clock ties the heap's existing entry wins by
-        #: seq number, which the strict ``<`` preserves (see
-        #: EXPERIMENTS.md, "burst-scheduling invariant").  Exposed as a
-        #: switch so the equivalence test can force the slow path.
-        self.burst_enabled = True
         # Scheduler tracepoints (sched:switch / sched:exit); wired by
         # Machine via attach_trace, permanently disabled on a bare
         # engine so the hot loop needs no None checks.
@@ -253,11 +245,14 @@ class Engine(SnapshotFriendly):
                     self.now_us = until_us
                 return
             # Burst inner loop: step ``thread`` repeatedly while it
-            # remains *strictly* ahead of every other runnable thread.
-            # Each iteration is byte-for-byte the body of the original
-            # pop-step-push loop; only the heap round-trip is elided.
-            # A stale heap top (done thread not yet compacted) merely
-            # ends the burst early, which is safe.
+            # remains *strictly* ahead of every other runnable thread,
+            # skipping the heap push/pop round-trip.  The schedule is
+            # that of a plain pop-step-push loop: on clock ties the
+            # heap's existing entry wins by seq number, which the
+            # strict ``<`` preserves (EXPERIMENTS.md, "burst-scheduling
+            # invariant"; tests/test_sim_engine.py checks it against
+            # such a loop).  A stale heap top (done thread not yet
+            # compacted) merely ends the burst early, which is safe.
             while True:
                 if max_steps is not None and steps >= max_steps:
                     heappush(heap, (clock, next(self._seq), thread))
@@ -295,8 +290,7 @@ class Engine(SnapshotFriendly):
                 # step pushes into this same heap and must be able to
                 # preempt.  Ties go to the heap entry (smaller seq),
                 # so only a strictly smaller clock keeps the burst.
-                if (not self.burst_enabled
-                        or (heap and clock >= heap[0][0])
+                if ((heap and clock >= heap[0][0])
                         or (until_us is not None and clock >= until_us)):
                     heappush(heap, (clock, next(self._seq), thread))
                     break

@@ -12,7 +12,8 @@ Trace format (text, one access per line)::
     <file-id> <page-index> [r|w]
 
 Lines starting with ``#`` are ignored.  A bare integer per line is
-treated as ``0 <page> r``.
+treated as ``0 <page> r``.  Ids are non-negative integers; a malformed
+line is rejected with its line number.
 
 CLI::
 
@@ -57,22 +58,41 @@ class TraceReport:
 
 
 def parse_trace(lines: Iterable[str]) -> list[tuple]:
-    """Parse the text trace format into (file_id, page, is_write)."""
+    """Parse the text trace format into (file_id, page, is_write).
+
+    Raises :class:`ValueError` naming the line for a non-integer or
+    negative id, an access type other than ``r``/``w``, or more than
+    three fields.
+    """
     out = []
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
+        if len(parts) == 1:
+            parts = ["0"] + parts
         try:
-            if len(parts) == 1:
-                out.append((0, int(parts[0]), False))
-            else:
-                is_write = len(parts) > 2 and parts[2].lower() == "w"
-                out.append((int(parts[0]), int(parts[1]), is_write))
+            file_id, page = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise ValueError(f"trace line {lineno}: {line!r}") from exc
+        if file_id < 0 or page < 0:
+            raise ValueError(
+                f"trace line {lineno}: negative id in {line!r}")
+        kind = parts[2].lower() if len(parts) > 2 else "r"
+        if kind not in ("r", "w") or len(parts) > 3:
+            raise ValueError(
+                f"trace line {lineno}: expected '<file-id> <page-index> "
+                f"[r|w]', got {line!r}")
+        out.append((file_id, page, kind == "w"))
     return out
+
+
+def policy_names() -> list[str]:
+    """Every policy name :func:`replay_trace` accepts, each once."""
+    factories = dict(GENERIC_POLICIES)
+    factories.update(EXTENSION_POLICIES)
+    return ["default", "mglru"] + sorted(factories)
 
 
 def _attach(machine: Machine, cgroup, policy: str,
@@ -91,8 +111,8 @@ def _attach(machine: Machine, cgroup, policy: str,
     factories.update(EXTENSION_POLICIES)
     if policy not in factories:
         raise ValueError(
-            f"unknown policy {policy!r}; choose from: default, mglru, "
-            f"lhd, {', '.join(sorted(factories))}")
+            f"unknown policy {policy!r}; choose from: "
+            f"{', '.join(policy_names())}")
     try:
         ops = factories[policy](map_entries=map_entries)
     except TypeError:
@@ -185,17 +205,28 @@ def main(argv: Optional[list] = None) -> int:
                         help="enable kernel readahead during replay")
     args = parser.parse_args(argv)
 
+    if args.cache_pages <= 0:
+        parser.error("--cache-pages must be positive")
+    policies = args.policies.split(",")
+    known = policy_names()
+    unknown = [name for name in policies if name not in known]
+    if unknown:
+        parser.error(f"unknown policy {unknown[0]!r}; choose from: "
+                     f"{', '.join(known)}")
+
     import sys
     source: TextIO
-    if args.trace == "-":
-        source = sys.stdin
-        trace = parse_trace(source)
-    else:
-        with open(args.trace) as source:
+    try:
+        if args.trace == "-":
+            source = sys.stdin
             trace = parse_trace(source)
+        else:
+            with open(args.trace) as source:
+                trace = parse_trace(source)
+    except ValueError as exc:
+        parser.error(str(exc))
     if not trace:
         parser.error("empty trace")
-    policies = args.policies.split(",")
     reports = simulate_policies(trace, policies,
                                 args.cache_pages, args.readahead)
     print(format_reports(reports))

@@ -115,6 +115,8 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--workload", default="C",
                         help="YCSB workload for --live (default: C)")
     args = parser.parse_args(argv)
+    if args.window_ms <= 0:
+        parser.error("--window-ms must be positive")
 
     window_us = args.window_ms * 1000.0
     if args.live:

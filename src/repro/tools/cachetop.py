@@ -392,7 +392,8 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("trace", nargs="?",
                         help="JSONL trace file ('-' for stdin)")
     parser.add_argument("--window-ms", type=float, default=0.0,
-                        help="render one frame per virtual-time window")
+                        help="render one frame per virtual-time window "
+                             "(default 0: one whole-trace summary)")
     parser.add_argument("--latency", action="store_true",
                         help="also print per-cgroup I/O latency histograms")
     parser.add_argument("--replay", metavar="FRAMES",
@@ -404,6 +405,8 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--selftest", action="store_true",
                         help="run the built-in end-to-end check and exit")
     args = parser.parse_args(argv)
+    if args.window_ms < 0:
+        parser.error("--window-ms must not be negative")
 
     if args.selftest:
         return selftest()

@@ -227,6 +227,8 @@ def main(argv: Optional[list] = None) -> int:
                              "file: fault windows next to analyzer-"
                              "detected degradation episodes")
     args = parser.parse_args(argv)
+    if args.window_ms <= 0:
+        parser.error("--window-ms must be positive")
 
     if args.frames:
         from repro.obs.timeseries import read_frames_jsonl

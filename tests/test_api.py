@@ -9,6 +9,7 @@ from repro import api
 from repro.experiments import fig6
 from repro.faults.plan import FaultPlan
 from repro.kernel.machine import Machine
+from repro.kernel.mglru import MgLruPolicy
 
 # One small YCSB scale shared by the fig6-based cases.
 YCSB_SCALE = dict(nkeys=2000, cgroup_pages=96, nops=800,
@@ -20,11 +21,9 @@ class TestApiFacade:
         config = api.MachineConfig(
             kernel_policy="mglru",
             disk={"read_us": 50.0, "channels": 4},
-            bulk_io_enabled=False, burst_enabled=False,
             cgroups=(("app", 128), ("side", 64)))
         machine = config.build()
-        assert machine.fs.bulk_io_enabled is False
-        assert machine.engine.burst_enabled is False
+        assert isinstance(machine.cgroup("app").kernel_policy, MgLruPolicy)
         assert machine.disk.read_us == 50.0
         assert machine.cgroup("app").limit_pages == 128
         assert machine.cgroup("side").limit_pages == 64

@@ -1,5 +1,7 @@
 """Eviction-list kfuncs: the Table 2 API and its safety properties."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from repro.cache_ext.kfuncs import (EINVAL, ENOENT, EPERM, ITER_EVICT,
 from repro.cache_ext.ops import CacheExtOps, EvictionCtx
 from repro.ebpf.runtime import bpf_program
 from repro.kernel import Machine
+from repro.sim.resources import CpuCosts
 
 
 def attach_empty_policy(machine, cg, name="p"):
@@ -326,6 +329,85 @@ class TestIterateScoring:
 
         ctx = EvictionCtx(1)
         assert list_iterate(cg, list_id, score, ctx, MODE_SCORING) == 0
+
+
+class TestKfuncCharges:
+    """Each kfunc call, and each folio a list scan visits, advances the
+    calling thread's clock and CPU time and the memcg's and machine's
+    hook time by exactly ``kfunc_op_us``."""
+
+    #: A dyadic cost on integral baselines keeps every float sum exact.
+    KFUNC_US = 0.25
+
+    def _charged(self, op, listed):
+        """Run ``op(cg, list_id, folios)`` in a thread of a fresh cgroup.
+
+        With ``listed`` the eight folios are on the list beforehand.
+        Returns ``(result, deltas)``: ``op``'s return value and the
+        advance of (clock, CPU, memcg hook time, machine hook time)
+        across the call.
+        """
+        machine = Machine(costs=CpuCosts(kfunc_op_us=self.KFUNC_US))
+        cg = machine.new_cgroup("t", limit_pages=256)
+        attach_empty_policy(machine, cg)
+        f = machine.fs.create("data")
+        for i in range(8):
+            f.store[i] = i
+        f.npages = 8
+        f.ra_enabled = False
+        folios = fault_in(machine, f, cg, 8)
+        list_id = list_create(cg)
+        if listed:
+            for folio in folios:
+                assert list_add(list_id, folio, True) == 0
+        out = {}
+
+        def step(thread):
+            thread.wait_until(math.ceil(thread.clock_us))
+            cg.stats.hook_cpu_us = 0.0
+            machine.page_cache.stats.hook_cpu_us = 0.0
+            clock, cpu = thread.clock_us, thread.cpu_us
+            out["result"] = op(cg, list_id, folios)
+            out["deltas"] = (thread.clock_us - clock, thread.cpu_us - cpu,
+                             cg.stats.hook_cpu_us,
+                             machine.page_cache.stats.hook_cpu_us)
+            return False
+
+        machine.spawn("kfuncs", step, cgroup=cg)
+        machine.run()
+        return out["result"], out["deltas"]
+
+    def test_list_add(self):
+        def op(cg, list_id, folios):
+            return [list_add(list_id, folio, True) for folio in folios]
+
+        result, deltas = self._charged(op, listed=False)
+        assert result == [0] * 8
+        assert deltas == (8 * self.KFUNC_US,) * 4
+
+    def test_list_del(self):
+        def op(cg, list_id, folios):
+            return [list_del(folio) for folio in folios]
+
+        result, deltas = self._charged(op, listed=True)
+        assert result == [0] * 8
+        assert deltas == (8 * self.KFUNC_US,) * 4
+
+    @pytest.mark.parametrize("mode", [MODE_SIMPLE, MODE_SCORING],
+                             ids=["simple", "scoring"])
+    def test_list_iterate_charges_each_scanned_folio(self, mode):
+        @bpf_program
+        def callback(i, folio):
+            return ITER_SKIP if mode == MODE_SIMPLE else i
+
+        def op(cg, list_id, folios):
+            return list_iterate(cg, list_id, callback, EvictionCtx(2),
+                                mode, 5)
+
+        added, deltas = self._charged(op, listed=True)
+        assert added == (0 if mode == MODE_SIMPLE else 2)
+        assert deltas == (5 * self.KFUNC_US,) * 4
+        assert callback.invocations == 5
 
 
 class TestMiscKfuncs:

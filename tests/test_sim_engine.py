@@ -1,7 +1,10 @@
 """Engine and resource-model tests: clocks, scheduling, contention."""
 
+import heapq
+
 import pytest
 
+from repro.sim import engine as engine_mod
 from repro.sim.engine import Engine, current_thread
 from repro.sim.resources import Disk
 
@@ -270,17 +273,63 @@ class TestUntilUsClamp:
         assert engine.now_us == pytest.approx(45.0)
 
 
+def reference_run(engine, until_us=None):
+    """The naive scheduler ``Engine.run`` must match step for step.
+
+    Pops the earliest ``(clock, seq, thread)`` entry, runs one step and
+    pushes the thread back — no bursting.  Bookkeeping (done threads,
+    the run window, scheduler tracepoints, compaction) is
+    ``Engine.run``'s.
+    """
+    while engine._heap:
+        if engine._live_nondaemon == 0:
+            return
+        clock, _seq, thread = heapq.heappop(engine._heap)
+        if thread.done:
+            continue
+        if until_us is not None and clock >= until_us:
+            heapq.heappush(engine._heap, (clock, next(engine._seq), thread))
+            engine.now_us = max(engine.now_us, until_us)
+            return
+        engine.now_us = clock
+        if engine._tp_switch.enabled:
+            engine._tp_switch.emit(clock, thread.cgroup_name, thread.tid,
+                                   thread=thread.name, step=thread.steps)
+        engine_mod._current = thread
+        try:
+            more = thread.step_fn(thread)
+        finally:
+            engine_mod._current = None
+        thread.steps += 1
+        if more:
+            heapq.heappush(engine._heap,
+                           (thread.clock_us, next(engine._seq), thread))
+            continue
+        thread.done = True
+        thread.finish_us = thread.clock_us
+        engine._nr_done += 1
+        if not thread.daemon:
+            engine._live_nondaemon -= 1
+        engine.now_us = max(engine.now_us, thread.clock_us)
+        if engine._tp_exit.enabled:
+            engine._tp_exit.emit(thread.clock_us, thread.cgroup_name,
+                                 thread.tid, thread=thread.name,
+                                 steps=thread.steps, cpu_us=thread.cpu_us)
+        engine._maybe_compact()
+
+
 class TestBurstScheduling:
-    """Burst mode must be schedule-equivalent to the pop/push loop."""
+    """Burst scheduling must be schedule-equivalent to the pop/push loop."""
 
     @staticmethod
-    def _contention_scenario(burst: bool):
+    def _contention_scenario(run):
         """Fig11-style contention: two cgroups hammering one machine.
 
         Random readers (cache-thrashing, fio-style) share the disk and
         the engine with cheap sequential readers, a mid-run spawned
         thread, a daemon poller, and a fixed run window — every
-        scheduling feature the burst loop interacts with.
+        scheduling feature the burst loop interacts with.  ``run``
+        drives the engine: ``run(engine, until_us)``.
         """
         import random
 
@@ -288,7 +337,6 @@ class TestBurstScheduling:
         from repro.obs.trace import TraceSession
 
         machine = Machine()
-        machine.engine.burst_enabled = burst
         cg_a = machine.new_cgroup("rand", limit_pages=64)
         cg_b = machine.new_cgroup("seq", limit_pages=64)
         f = machine.fs.create("data")
@@ -342,8 +390,8 @@ class TestBurstScheduling:
         machine.spawn("spawner", spawner)
 
         with TraceSession(machine, "sched:*") as session:
-            machine.run(until_us=900.0)
-            machine.run()  # drain past the window too
+            run(machine.engine, 900.0)
+            run(machine.engine, None)  # drain past the window too
         threads = sorted(
             ((t.tid, t.name, t.steps, t.clock_us, t.cpu_us, t.done)
              for t in machine.engine.threads + spawned))
@@ -352,8 +400,9 @@ class TestBurstScheduling:
         return switches, threads, machine.now_us
 
     def test_burst_equivalent_to_heap_loop(self):
-        fast = self._contention_scenario(burst=True)
-        slow = self._contention_scenario(burst=False)
+        fast = self._contention_scenario(
+            lambda engine, until_us: engine.run(until_us=until_us))
+        slow = self._contention_scenario(reference_run)
         # Identical step interleavings (every sched:switch), identical
         # final clocks/step counts, identical engine time.
         assert fast == slow

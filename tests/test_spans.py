@@ -5,7 +5,7 @@ The contract under test (see :mod:`repro.obs.spans` /
 
 * every request span's components sum to its duration **bitwise** —
   fold ``COMPONENTS`` left-to-right and you reproduce ``dur_us``
-  exactly, on the per-page path and the batched bulk-I/O path alike;
+  exactly, for single-page and range reads alike;
 * spans are purely observational (enabling them never perturbs
   virtual time) and gated by the ``span:close`` tracepoint;
 * aggregation output is deterministic: identical runs produce
@@ -20,18 +20,20 @@ The contract under test (see :mod:`repro.obs.spans` /
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 
 import pytest
 
-from repro.kernel import Machine
+from repro.kernel import FAdvice, Machine
 from repro.obs import COMPONENTS, SpanAggregator, TraceSession, \
     format_breakdown
 from repro.obs.attr import SpanStats
 from repro.obs.collectors import EventCounter
 from repro.obs.trace import TraceEvent
 from repro.policies.mru import make_mru_policy
+from repro.sim.engine import current_thread
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -123,14 +125,15 @@ class TestComponentSumInvariant:
             ["vfs.read_range", "vfs.read_range"]
         cold, warm = events
         assert cold.data.get("device_service", 0.0) > 0
-        # The warm pass charges one batched cache_hit for all 64 pages.
+        # The warm pass charges a cache_hit for each of its 64 pages.
         assert warm.data.get("cache_hit", 0.0) > 0
         assert warm.data.get("device_service", 0.0) == 0.0
 
     def test_range_with_policy_absorbs_nested_reads(self):
-        # A cache_ext policy forces read_range onto the per-page
-        # fallback; the inner read_page calls must be absorbed by the
-        # enclosing vfs.read_range span (spans are non-reentrant).
+        # read_range is a loop over read_page; with a cache_ext policy
+        # attached the inner reads (and their kfunc charges) must be
+        # absorbed by the enclosing vfs.read_range span (spans are
+        # non-reentrant).
         machine, cg, f = make_env(limit=128, npages=96,
                                   policy=make_mru_policy())
         events = record_spans(
@@ -164,6 +167,37 @@ class TestComponentSumInvariant:
              for i in range(64)])
         assert_invariant(events)
         assert any(e.data.get("reclaim_stall", 0.0) > 0 for e in events)
+
+    def test_dontneed_evictions_are_reclaim_stall(self):
+        # fadvise(DONTNEED) inside an open span: clean, unpinned folios
+        # are evicted (one shadow entry each), the dirty and the pinned
+        # folio stay, and each eviction's evict_us is reclaim_stall.
+        machine, cg, f = make_env(limit=64, npages=16)
+
+        def dontneed():
+            thread = current_thread()
+            # Integral clock: every sum of evict_us below is exact.
+            thread.wait_until(math.ceil(thread.clock_us))
+            span = machine.spans.open(thread, "fadvise")
+            try:
+                machine.fs.fadvise(f, FAdvice.DONTNEED, 0, 16)
+            finally:
+                machine.spans.close(thread, span)
+
+        ops = [lambda i=i: machine.fs.read_page(f, i) for i in range(8)]
+        ops += [lambda: machine.fs.write_page(f, 8, "dirty"),
+                lambda: machine.fs.read_page(f, 9),
+                lambda: f.mapping.lookup(9).pin(),
+                dontneed]
+        events = record_spans(machine, cg, ops)
+        assert_invariant(events)
+        fadvise, = [e.data for e in events if e.data["span"] == "fadvise"]
+        assert [i for i in range(16) if f.mapping.lookup(i)] == [8, 9]
+        assert [i for i in range(16)
+                if f.mapping.peek_shadow(i) is not None] == list(range(8))
+        assert cg.stats.evictions == 8
+        assert fadvise["reclaim_stall"] == 8 * machine.costs.evict_us
+        assert fadvise["dur_us"] == fadvise["reclaim_stall"]
 
     def test_kfunc_component_with_policy(self):
         machine, cg, f = make_env(limit=32, npages=64,

@@ -139,6 +139,14 @@ class TestRefusals:
         with pytest.raises(ValueError):
             TimeseriesSampler(0.0)
 
+    @pytest.mark.parametrize("window_us", (0, 0.0, -5))
+    def test_lookup_timeline_nonpositive_window_refused(self, window_us):
+        # Refused at construction, not at the first cache:lookup
+        # inside an engine step.
+        from repro.obs import LookupTimeline
+        with pytest.raises(ValueError, match="positive"):
+            LookupTimeline(window_us=window_us)
+
     @pytest.mark.parametrize("interval", (0, 0.0, -5))
     def test_api_zero_interval_raises(self, interval):
         # 0 == False in Python: a zero interval must not silently

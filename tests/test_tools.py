@@ -36,6 +36,20 @@ class TestParseTrace:
         with pytest.raises(ValueError, match="line 2"):
             parse_trace(["0 1", "zero one"])
 
+    @pytest.mark.parametrize("line", ["1 -5", "-1 5", "-3"])
+    def test_negative_id_rejected(self, line):
+        with pytest.raises(ValueError, match="line 2: negative id"):
+            parse_trace(["0 1", line])
+
+    @pytest.mark.parametrize("line", ["1 5 x", "1 5 read", "1 5 w extra"])
+    def test_bad_access_type_rejected(self, line):
+        with pytest.raises(ValueError, match=r"line 2: expected"):
+            parse_trace(["0 1", line])
+
+    def test_access_type_case_insensitive(self):
+        assert parse_trace(["1 5 R", "1 5 W"]) == [(1, 5, False),
+                                                   (1, 5, True)]
+
 
 class TestReplay:
     def test_hit_accounting(self):
@@ -101,6 +115,49 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "sieve" in out
+
+    @pytest.mark.parametrize("args, message", [
+        (["--cache-pages", "0"], "--cache-pages must be positive"),
+        (["--cache-pages", "-4"], "--cache-pages must be positive"),
+        (["--policies", "default,nope"], "unknown policy 'nope'"),
+    ], ids=["zero-pages", "negative-pages", "unknown-policy"])
+    def test_bad_options_are_usage_errors(self, tmp_path, capsys, args,
+                                          message):
+        from repro.tools.cachesim import main
+        trace_file = tmp_path / "trace.txt"
+        trace_file.write_text("0 1\n")
+        with pytest.raises(SystemExit) as exc:
+            main([str(trace_file)] + args)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""  # nothing replayed before the error
+
+    def test_unknown_policy_lists_each_choice_once(self, tmp_path, capsys):
+        from repro.tools.cachesim import main, policy_names
+        trace_file = tmp_path / "trace.txt"
+        trace_file.write_text("0 1\n")
+        with pytest.raises(SystemExit):
+            main([str(trace_file), "--policies", "nope"])
+        choices = capsys.readouterr().err.split("choose from: ")[1]
+        names = choices.strip().split(", ")
+        assert names == policy_names()
+        assert len(names) == len(set(names))
+        assert {"default", "mglru", "lhd", "mglru-bpf"} <= set(names)
+
+    @pytest.mark.parametrize("body, message", [
+        ("0 1\n1 -5\n", "trace line 2: negative id"),
+        ("0 1\n0 2 x\n", "trace line 2: expected"),
+    ], ids=["negative-page", "bad-access-type"])
+    def test_malformed_trace_is_usage_error(self, tmp_path, capsys, body,
+                                            message):
+        from repro.tools.cachesim import main
+        trace_file = tmp_path / "trace.txt"
+        trace_file.write_text(body)
+        with pytest.raises(SystemExit) as exc:
+            main([str(trace_file)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -288,6 +345,45 @@ class TestCachetopSpanColumns:
         write_jsonl(trace, _span_events())
         assert main([str(trace)]) == 0
         assert "DSERV" in capsys.readouterr().out
+
+
+class TestWindowOptions:
+    """A bad ``--window-ms`` is a usage error (exit 2), caught before
+    any trace is read."""
+
+    @pytest.mark.parametrize("tool", ["cachestat", "faultstat"])
+    @pytest.mark.parametrize("window", ["0", "-3"])
+    def test_nonpositive_window_exits_2(self, tool, window, tmp_path,
+                                        capsys):
+        import importlib
+        main = importlib.import_module(f"repro.tools.{tool}").main
+        trace = tmp_path / "cache.jsonl"
+        write_jsonl(trace, _cache_events())
+        with pytest.raises(SystemExit) as exc:
+            main([str(trace), "--window-ms", window])
+        assert exc.value.code == 2
+        assert "--window-ms must be positive" in capsys.readouterr().err
+
+    def test_cachetop_negative_window_exits_2(self, tmp_path, capsys):
+        from repro.tools.cachetop import main
+        trace = tmp_path / "cache.jsonl"
+        write_jsonl(trace, _cache_events())
+        with pytest.raises(SystemExit) as exc:
+            main([str(trace), "--window-ms", "-3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--window-ms must not be negative" in captured.err
+        assert captured.out == ""
+
+    def test_cachetop_zero_window_prints_summary(self, tmp_path, capsys):
+        from repro.tools.cachetop import main
+        trace = tmp_path / "cache.jsonl"
+        write_jsonl(trace, _cache_events())
+        assert main([str(trace), "--window-ms", "0"]) == 0
+        summary = capsys.readouterr().out
+        assert main([str(trace)]) == 0
+        assert capsys.readouterr().out == summary
+        assert "CGROUP" in summary
 
 
 class TestToolPackageExports:

@@ -259,36 +259,39 @@ class TestReadaheadEdgeCases:
 
 
 class TestBulkReadRange:
-    def test_single_device_request_for_missing_range(self):
-        machine, cg, f = make_fs()
-        values = run_in_thread(
-            machine, cg, lambda th: machine.fs.read_range(f, 0, 12))
-        assert values == [f"data{i}" for i in range(12)]
-        assert machine.disk.stats.reads == 1
-        assert machine.disk.stats.read_pages == 12
-        assert cg.stats.misses == 12
-        assert cg.stats.lookups == 12
+    """``read_range`` is the per-page ``read_page`` loop: statistics,
+    readahead and device requests are exactly those of consecutive
+    single-page reads."""
 
     def test_resident_range_is_all_hits(self):
         machine, cg, f = make_fs()
         run_in_thread(machine, cg,
                       lambda th: machine.fs.read_range(f, 0, 8))
         reads_before = machine.disk.stats.reads
+        hits_before = cg.stats.hits
+        misses_before = cg.stats.misses
         run_in_thread(machine, cg,
                       lambda th: machine.fs.read_range(f, 0, 8))
         assert machine.disk.stats.reads == reads_before
-        assert cg.stats.hits == 8
+        assert cg.stats.hits == hits_before + 8
+        assert cg.stats.misses == misses_before
 
     def test_mixed_range_reads_only_missing_pages(self):
         machine, cg, f = make_fs()
         run_in_thread(machine, cg,
                       lambda th: machine.fs.read_page(f, 5))
+        resident = f.mapping.lookup(5)
         run_in_thread(machine, cg,
                       lambda th: machine.fs.read_range(f, 3, 6))
-        # Pages 3,4,6,7,8 missed; page 5 hit.
-        assert cg.stats.hits == 1
-        assert machine.disk.stats.read_pages == 6  # 1 + 5
-        assert machine.disk.stats.reads == 2
+        # Pages 3, 4 and 6 miss; the miss at 6 is the fourth
+        # sequential read, so it reads ahead 7..13 in the same request
+        # and 5 (resident), 7 and 8 hit.
+        assert cg.stats.hits == 3
+        assert f.mapping.lookup(5) is resident
+        # Every page fetched from the device became a new folio: the
+        # resident page was never re-read.
+        assert machine.disk.stats.read_pages == cg.stats.insertions == 11
+        assert machine.disk.stats.reads == 4
 
     def test_bulk_updates_recency(self):
         machine, cg, f = make_fs()
@@ -311,7 +314,9 @@ class TestBulkReadRange:
                           lambda th: machine.fs.read_range(f, 0, 5))
         events = [(e.data["index"], e.data["hit"])
                   for e in session.events]
-        assert events == [(0, 0), (1, 0), (2, 1), (3, 0), (4, 0)]
+        # One event per page in index order; page 4 hits because the
+        # miss at 3 (fourth sequential read) read it ahead.
+        assert events == [(0, 0), (1, 0), (2, 1), (3, 0), (4, 1)]
 
     def test_ext_policy_opts_out_of_bulk(self):
         machine, cg, f = make_fs()
@@ -319,32 +324,33 @@ class TestBulkReadRange:
         cg.ext_policy = policy
         run_in_thread(machine, cg,
                       lambda th: machine.fs.read_range(f, 0, 10))
-        # Per-page fallback: the admission filter saw every insertion
+        # Per-page dispatch: the admission filter saw every insertion
         # (10 pages, nothing resident, hint None keeps the kernel
         # heuristic which prefetches within the same range).
         assert policy.admitted == 10
         assert machine.disk.stats.reads > 1
 
-    def test_bulk_io_disabled_falls_back(self):
-        machine, cg, f = make_fs()
-        machine.fs.bulk_io_enabled = False
-        run_in_thread(machine, cg,
-                      lambda th: machine.fs.read_range(f, 0, 10))
-        # Per-page loop: first two misses are single-page reads before
-        # readahead arms, so more than one device request happens.
-        assert machine.disk.stats.reads > 1
-        assert cg.charged_pages == 10
-
     def test_bulk_matches_per_page_residency_and_charges(self):
-        def run(bulk):
-            machine, cg, f = make_fs()
-            machine.fs.bulk_io_enabled = bulk
-            run_in_thread(machine, cg,
-                          lambda th: machine.fs.read_range(f, 0, 10))
-            return (sorted(folio.index for folio in f.mapping.folios()),
-                    cg.charged_pages, cg.stats.lookups)
+        from repro.obs.trace import TraceSession
 
-        assert run(bulk=True) == run(bulk=False)
+        def run(read):
+            machine, cg, f = make_fs()
+            with TraceSession(machine, "cache:*") as session:
+                values = run_in_thread(machine, cg,
+                                       lambda th: read(machine.fs, f))
+            thread = machine.engine.threads[0]
+            return (values,
+                    sorted(folio.index for folio in f.mapping.folios()),
+                    cg.charged_pages, cg.stats, machine.disk.stats,
+                    thread.clock_us, thread.cpu_us,
+                    [(e.name, e.ts_us, e.data) for e in session.events])
+
+        def per_page(fs, f):
+            return [fs.read_page(f, idx) for idx in range(10)]
+
+        ranged = run(lambda fs, f: fs.read_range(f, 0, 10))
+        assert ranged == run(per_page)
+        assert ranged[0] == [f"data{i}" for i in range(10)]
 
     def test_read_range_past_eof_rejected(self):
         machine, cg, f = make_fs()
