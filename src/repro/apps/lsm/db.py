@@ -201,8 +201,7 @@ class LsmDb(SnapshotFriendly):
                                self.opts.fmt,
                                expected_entries=len(self.mem),
                                through_cache=True)
-        for key, value in self.mem.sorted_items():
-            writer.add(key, value)
+        writer.extend(self.mem.sorted_items())
         table = writer.finish()
         self.levels[0].insert(0, table)  # newest first
         self._tables_changed()
@@ -405,8 +404,7 @@ class LsmDb(SnapshotFriendly):
                                    self.opts.fmt,
                                    expected_entries=len(chunk),
                                    through_cache=False)
-            for key, value in chunk:
-                writer.add(key, value)
+            writer.extend(chunk)
             self.levels[bottom].append(writer.finish())
         self._tables_changed()
 

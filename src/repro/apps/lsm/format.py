@@ -112,25 +112,26 @@ class BloomFilter:
         self.nbits = self.npages * BLOOM_PAGE_BITS
         self.chunks = [bytearray(PAGE_SIZE) for _ in range(self.npages)]
 
-    def _positions(self, key: str):
-        for probe in range(BLOOM_HASHES):
-            yield fnv1a(key, probe) % self.nbits
-
-    # add/test_chunks draw their probe hashes from the process-wide
+    # add_all/test_chunks draw their probe hashes from the process-wide
     # :func:`bloom_hashes` memo so the key is CRC'd once per process
     # instead of once per probe per filter (both sit on the SSTable
     # write and point-read hot paths).  The memoized values equal
-    # ``fnv1a(key, probe)``, so bit positions are identical to
-    # :meth:`_positions`, which is kept as the readable reference.
+    # ``fnv1a(key, probe)``, so a key's bit positions are
+    # ``fnv1a(key, probe) % nbits`` (pinned by tests/test_lsm.py).
 
     def add(self, key: str) -> None:
+        self.add_all((key,))
+
+    def add_all(self, keys) -> None:
+        """Set the bits of every key in ``keys``."""
         nbits = self.nbits
         chunks = self.chunks
-        for h in bloom_hashes(key):
-            pos = h % nbits
-            # divmod by the power-of-two page size, as shift/mask.
-            bit = pos & _BLOOM_PAGE_MASK
-            chunks[pos >> _BLOOM_PAGE_SHIFT][bit >> 3] |= 1 << (bit & 7)
+        for key in keys:
+            for h in bloom_hashes(key):
+                pos = h % nbits
+                # divmod by the power-of-two page size, as shift/mask.
+                bit = pos & _BLOOM_PAGE_MASK
+                chunks[pos >> _BLOOM_PAGE_SHIFT][bit >> 3] |= 1 << (bit & 7)
 
     @staticmethod
     def test_chunks(chunks: list, nbits: int, key: str) -> bool:

@@ -19,6 +19,7 @@ from __future__ import annotations
 from repro.snapshot import SnapshotFriendly
 import bisect
 import itertools
+import operator
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.apps.lsm.format import (BLOOM_PAGE_BITS, INDEX_ENTRIES_PER_PAGE,
@@ -141,6 +142,7 @@ class SSTableWriter:
         self.fs = fs
         self.file = fs.create(name)
         self.fmt = fmt
+        self._entries_per_page = fmt.entries_per_page
         self.through_cache = through_cache
         self.bloom = BloomFilter(max(expected_entries, 1))
         self._page: list = []
@@ -174,10 +176,52 @@ class SSTableWriter:
         self._page.append((key, value))
         self.bloom.add(key)
         self._n_entries += 1
-        if len(self._page) >= self.fmt.entries_per_page:
+        if len(self._page) >= self._entries_per_page:
             self._emit_page(self._page)
             self._page = []
             self._n_data_pages += 1
+
+    def extend(self, records: list) -> None:
+        """Append a sorted list of ``(key, value)`` tuples.
+
+        Writes the same table as calling :meth:`add` per record, but
+        slices whole pages off the batch, appends one index key per
+        page and sets the bloom bits in one loop.  A key out of order
+        raises :meth:`add`'s ``ValueError`` before anything is written.
+        """
+        if not records:
+            return
+        keys = [record[0] for record in records]
+        last = self._last_key
+        if (last is not None and keys[0] <= last) \
+                or not all(map(operator.lt, keys, keys[1:])):
+            for key in keys:
+                if last is not None and key <= last:
+                    raise ValueError(
+                        f"keys out of order: {key!r} after {last!r}")
+                last = key
+        if self._min_key is None:
+            self._min_key = keys[0]
+        self._max_key = self._last_key = keys[-1]
+        self._n_entries += len(records)
+        self.bloom.add_all(keys)
+        per_page = self._entries_per_page
+        start = 0
+        page = self._page
+        if page:
+            # Top up the partly filled page first.
+            start = per_page - len(page)
+            page.extend(records[:start])
+            if len(page) < per_page:
+                return
+            self._emit_page(page)
+            self._n_data_pages += 1
+        self._index.extend(keys[start::per_page])
+        end = start + (len(records) - start) // per_page * per_page
+        for first in range(start, end, per_page):
+            self._emit_page(records[first:first + per_page])
+        self._n_data_pages += (end - start) // per_page
+        self._page = records[end:]
 
     def finish(self) -> SSTable:
         """Flush metadata pages and return the readable table."""

@@ -56,6 +56,9 @@ class CacheExtPolicy(ExtPolicyBase):
         self._memcg_stats = memcg.stats
         self._cache_stats = machine.page_cache.stats
         self.lists: list[EvictionList] = []
+        #: The list lock: True while a list_iterate callback runs, when
+        #: the list-mutating kfuncs return EBUSY (repro.cache_ext.kfuncs).
+        self.lists_locked = False
         #: kfunc calls that returned an error (policy bug indicator).
         self.kfunc_errors = 0
         #: Eviction-candidate accounting for the health score: how many

@@ -26,6 +26,7 @@ from repro.sim.engine import current_thread
 EINVAL = -22
 ENOENT = -2
 EPERM = -1
+EBUSY = -16
 
 # Iteration modes (the iter_opts "mode" field).
 MODE_SIMPLE = 0
@@ -108,7 +109,8 @@ def list_add(list_id: int, folio, tail: bool = True) -> int:
     ``list_add(lfu_list, folio, true)``).
 
     A folio has exactly one list node; adding a folio that is already
-    on some list moves it.
+    on some list moves it.  Returns ``EBUSY`` from inside a
+    :func:`list_iterate` callback (the policy's lists are locked).
 
     Hot path: list_add runs once per insertion plus once per rotation
     under eviction churn, so the policy resolution and
@@ -125,6 +127,8 @@ def list_add(list_id: int, folio, tail: bool = True) -> int:
         policy = None
     if policy is None:
         return EINVAL
+    if policy.lists_locked:
+        return _fail(policy, EBUSY, "list_add")
     lst = resolve_list(list_id)
     if lst is None or lst.policy is not policy:
         return _fail(policy, EPERM, "list_add")
@@ -161,7 +165,8 @@ def list_add(list_id: int, folio, tail: bool = True) -> int:
 
 @bpf_kfunc
 def list_del(folio) -> int:
-    """Remove ``folio`` from whatever eviction list holds it.
+    """Remove ``folio`` from whatever eviction list holds it
+    (``EBUSY`` from inside a :func:`list_iterate` callback).
 
     Hot path: the charge is inlined like :func:`list_add`'s.
     """
@@ -174,6 +179,8 @@ def list_del(folio) -> int:
         policy = None
     if policy is None:
         return EINVAL
+    if policy.lists_locked:
+        return _fail(policy, EBUSY, "list_del")
     us = policy.machine.costs.kfunc_op_us
     thread = _engine._current
     if thread is not None:
@@ -194,7 +201,8 @@ def list_del(folio) -> int:
 
 @bpf_kfunc
 def list_move(list_id: int, folio, tail: bool = True) -> int:
-    """Move ``folio``'s node to another list (or rotate within one)."""
+    """Move ``folio``'s node to another list (or rotate within one);
+    ``EBUSY`` from inside a :func:`list_iterate` callback."""
     return list_add(list_id, folio, tail)
 
 
@@ -225,6 +233,12 @@ def list_iterate(memcg, list_id: int, callback, ctx,
     LFU-style policies).  Non-selected scanned folios rotate to the
     list tail.
 
+    Lock: the kernel holds the list lock across the scan, so while any
+    callback runs, :func:`list_add`, :func:`list_move` and
+    :func:`list_del` on this policy fail with ``EBUSY`` (and count a
+    kfunc error).  The lock is released however the scan ends,
+    including a callback that raises.
+
     Returns the number of candidates appended, or a negative errno.
     """
     policy = _policy_of_memcg(memcg)
@@ -232,6 +246,8 @@ def list_iterate(memcg, list_id: int, callback, ctx,
         return EINVAL
     if not isinstance(ctx, EvictionCtx):
         return _fail(policy, EINVAL, "list_iterate")
+    if policy.lists_locked:
+        return _fail(policy, EBUSY, "list_iterate")
     lst = _owned_list(policy, list_id)
     if lst is None:
         return _fail(policy, EPERM, "list_iterate")
@@ -244,11 +260,15 @@ def list_iterate(memcg, list_id: int, callback, ctx,
     if want <= 0:
         return 0
     limit = min(nr_scan if nr_scan > 0 else DEFAULT_MAX_SCAN, len(lst))
-    if mode == MODE_SIMPLE:
-        return _iterate_simple(policy, lst, callback, ctx, limit, dst)
-    if mode == MODE_SCORING:
+    if mode != MODE_SIMPLE and mode != MODE_SCORING:
+        return _fail(policy, EINVAL, "list_iterate")
+    policy.lists_locked = True
+    try:
+        if mode == MODE_SIMPLE:
+            return _iterate_simple(policy, lst, callback, ctx, limit, dst)
         return _iterate_scoring(policy, lst, callback, ctx, limit, want)
-    return _fail(policy, EINVAL, "list_iterate")
+    finally:
+        policy.lists_locked = False
 
 
 def _iter_hot_state(policy, callback):
@@ -341,55 +361,58 @@ def _iterate_simple(policy, lst: EvictionList, callback, ctx: EvictionCtx,
 
 def _iterate_scoring(policy, lst: EvictionList, callback, ctx: EvictionCtx,
                      limit: int, want: int) -> int:
+    """Batch scoring: score the first ``limit`` nodes, propose the
+    ``want`` lowest, rotate the rest to the tail.
+
+    ``limit <= len(lst)``, so the scanned nodes are the contiguous run
+    at the head, and the list lock keeps callbacks from changing it.
+    The result is the same as rotating every unselected node to the
+    tail one at a time, in scan order, while the selected ones stay at
+    the head; it is reached with one :meth:`rotate_to_front` of the
+    whole run plus one :meth:`move_to_head` per selected node.
+    """
+    if limit == 0:
+        return 0
     thread, us, memcg_stats, cache_stats, cb_fn = _iter_hot_state(
         policy, callback)
-    scored: list[tuple[int, int]] = []  # (score, position)
-    nodes: list = []
-    scored_append = scored.append
+    nodes = []
     nodes_append = nodes.append
-    head = lst._head
-    node = lst.head()
+    node = lst._head.next
+    for _ in range(limit):
+        nodes_append(node)
+        node = node.next
     # Hoisted: see _iterate_simple (including the batched accounting —
     # only clock_us advances per candidate, for the benefit of
     # ktime_us-based scores).
     span = thread.span if thread is not None else None
     is_prog = cb_fn is not None
     call = cb_fn if is_prog else callback
-    n = 0
-    for position in range(limit):
-        if node is None:
-            break
-        nxt = node.next
-        if nxt is head:
-            nxt = None
-        n += 1
+    scores = []
+    scores_append = scores.append
+    for position, scanned in enumerate(nodes):
         if thread is not None:
             thread.clock_us += us
-        score = call(position, node.item)
+        score = call(position, scanned.item)
         if type(score) is not int and not isinstance(score, int):
             _iter_charge(thread, span, memcg_stats, cache_stats,
-                         callback if is_prog else None, n, us)
+                         callback if is_prog else None, position + 1, us)
             return _fail(policy, EINVAL, "list_iterate")
-        scored_append((score, position))
-        nodes_append(node)
-        node = nxt
+        scores_append(score)
     _iter_charge(thread, span, memcg_stats, cache_stats,
-                 callback if is_prog else None, n, us)
-    if not nodes:
-        return 0
-    # Lowest score wins eviction; ties broken towards the list head
-    # (older entries first), matching the kernel implementation.
-    scored.sort()
-    selected = {position for _score, position in scored[:want]}
+                 callback if is_prog else None, limit, us)
+    # Lowest score wins eviction; the stable sort breaks ties towards
+    # the list head (older entries first), matching the kernel.
+    selected = sorted(sorted(range(limit), key=scores.__getitem__)[:want])
+    if node is not lst._head:
+        lst.rotate_to_front(node)
+    move_to_head = lst.move_to_head
+    for position in reversed(selected):
+        move_to_head(nodes[position])
     added = 0
     add_candidate = ctx.add_candidate
-    move_to_tail = lst.move_to_tail
-    for position, scanned in enumerate(nodes):
-        if position in selected:
-            if add_candidate(scanned.item):
-                added += 1
-        else:
-            move_to_tail(scanned)
+    for position in selected:
+        if add_candidate(nodes[position].item):
+            added += 1
     return added
 
 

@@ -149,12 +149,35 @@ class IntrusiveList(SnapshotFriendly):
             owner.remove(node)
         self.add_head(node)
 
+    def rotate_to_front(self, node: ListNode) -> None:
+        """Make ``node`` the head, keeping the cyclic order; O(1).
+
+        Linux ``list_rotate_to_front``: the sentinel is relinked just
+        before ``node``, so every node that preceded it moves, in order,
+        to the tail.
+        """
+        if node.owner is not self:
+            raise RuntimeError("node is not on this list")
+        head = self._head
+        prev = node.prev
+        if prev is head:               # already at the head
+            return
+        head.prev.next = head.next
+        head.next.prev = head.prev
+        prev.next = head
+        head.prev = prev
+        head.next = node
+        node.prev = head
+
     def iter_from_head(self) -> Iterator[ListNode]:
         """Iterate head -> tail.
 
         Snapshot-free: tolerates removal of the *current* node but not
         of the next one; callers that mutate aggressively should collect
-        nodes first (as cache_ext's list_iterate kfunc does).
+        nodes first.  cache_ext's list_iterate kfunc does, and it also
+        models the kernel's list lock: while one of its callbacks runs,
+        the list-mutating kfuncs of that policy fail with ``EBUSY``, so
+        the collected run cannot change under the scan.
         """
         node = self._head.next
         while node is not self._head:

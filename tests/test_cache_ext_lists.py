@@ -7,16 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache_ext import load_policy
-from repro.cache_ext.kfuncs import (EINVAL, ENOENT, EPERM, ITER_EVICT,
-                                    ITER_MOVE, ITER_ROTATE, ITER_SKIP,
-                                    ITER_STOP, MODE_SCORING, MODE_SIMPLE,
+from repro.cache_ext.kfuncs import (EBUSY, EINVAL, ENOENT, EPERM,
+                                    ITER_EVICT, ITER_MOVE, ITER_ROTATE,
+                                    ITER_SKIP, ITER_STOP, MODE_SCORING,
+                                    MODE_SIMPLE,
                                     ctx_add_candidate, current_tid,
                                     folio_key, ktime_us, list_add,
                                     list_create, list_del, list_iterate,
                                     list_move, list_size)
 from repro.cache_ext.ops import CacheExtOps, EvictionCtx
+from repro.ebpf.maps import ArrayMap
 from repro.ebpf.runtime import bpf_program
 from repro.kernel import Machine
+from repro.kernel.list import IntrusiveList, ListNode
 from repro.sim.resources import CpuCosts
 
 
@@ -329,6 +332,161 @@ class TestIterateScoring:
 
         ctx = EvictionCtx(1)
         assert list_iterate(cg, list_id, score, ctx, MODE_SCORING) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40),
+           want=st.integers(1, 32), proposed=st.integers(0, 4))
+    def test_matches_naive_reference(self, data, n, want, proposed):
+        """Scoring mode equals a naive reference: sort the scanned run
+        on ``(score, position)``, take the ``want`` lowest, then rotate
+        every other scanned node to the tail with one ``move_to_tail``
+        each, in scan order."""
+        nr_scan = data.draw(st.one_of(st.integers(1, n),
+                                      st.integers(n, n + 8), st.just(0)),
+                            label="nr_scan")
+        scores = data.draw(st.lists(st.integers(0, 3), min_size=n,
+                                    max_size=n), label="scores")
+        machine, cg, policy, f = setup()
+        list_id = list_create(cg)
+        folios = fault_in(machine, f, cg, n + proposed)
+        listed, earlier = folios[:n], folios[n:]
+        order = data.draw(st.permutations(range(n)), label="order")
+        for i in order:
+            assert list_add(list_id, listed[i], True) == 0
+        lst = policy.lists[-1]
+        before = lst.items()
+        score_of = {folio.id: score for folio, score in zip(before, scores)}
+
+        ctx = EvictionCtx(proposed + want)
+        for folio in earlier:
+            assert ctx.add_candidate(folio)
+
+        def score(i, folio):
+            assert folio is before[i]
+            return score_of[folio.id]
+
+        added = list_iterate(cg, list_id, score, ctx, MODE_SCORING, nr_scan)
+
+        limit = min(nr_scan or len(before), len(before))
+        ranked = sorted(range(limit), key=lambda p: (scores[p], p))
+        chosen = sorted(ranked[:want])
+        reference = IntrusiveList()
+        nodes = [ListNode(folio) for folio in before]
+        for node in nodes:
+            reference.add_tail(node)
+        for position in range(limit):
+            if position not in chosen:
+                reference.move_to_tail(nodes[position])
+        assert lst.items() == reference.items()
+        assert ctx.candidates == earlier + [before[p] for p in chosen]
+        assert added == len(chosen)
+        lst.check_consistency()
+
+
+class TestListLock:
+    """While a list_iterate callback runs, the policy's lists are
+    locked: the list-mutating kfuncs fail with EBUSY."""
+
+    MODES = pytest.mark.parametrize("mode", [MODE_SIMPLE, MODE_SCORING],
+                                    ids=["simple", "scoring"])
+
+    @MODES
+    def test_mutating_kfuncs_busy_inside_callback(self, mode):
+        machine, cg, policy, f = setup()
+        list_id, other = list_create(cg), list_create(cg)
+        folios = fault_in(machine, f, cg, 6)
+        for folio in folios[:4]:
+            list_add(list_id, folio, True)
+        list_add(other, folios[4], True)
+        results = []
+
+        def callback(i, folio):
+            if i == 0:
+                results.append((
+                    list_add(other, folios[5], True),
+                    list_move(other, folio, True),
+                    list_del(folios[4]),
+                    list_del(folio),
+                    list_iterate(cg, other, callback, EvictionCtx(1),
+                                 mode)))
+            return ITER_SKIP if mode == MODE_SIMPLE else 0
+
+        errors = policy.kfunc_errors
+        list_iterate(cg, list_id, callback, EvictionCtx(1), mode)
+        assert results == [(EBUSY,) * 5]
+        assert policy.kfunc_errors == errors + 5
+        assert not policy.lists_locked
+        for lst in policy.lists:
+            lst.check_consistency()
+        assert policy.lists[-1].folios() == [folios[4]]
+        assert sorted(folio.id for folio in policy.lists[-2].folios()) \
+            == sorted(folio.id for folio in folios[:4])
+        # Unlocked again once list_iterate returns.
+        assert list_add(other, folios[5], True) == 0
+        assert list_del(folios[4]) == 0
+
+    @MODES
+    def test_raising_callback_releases_lock(self, mode):
+        machine, cg, policy, f = setup()
+        list_id = list_create(cg)
+        folios = fault_in(machine, f, cg, 3)
+        for folio in folios[:2]:
+            list_add(list_id, folio, True)
+
+        def callback(i, folio):
+            raise ZeroDivisionError
+
+        with pytest.raises(ZeroDivisionError):
+            list_iterate(cg, list_id, callback, EvictionCtx(1), mode)
+        assert not policy.lists_locked
+        assert list_add(list_id, folios[2], True) == 0
+        assert list_size(list_id) == 3
+
+    @MODES
+    def test_watchdog_detach_then_reattach(self, mode):
+        """A callback fault inside evict_folios detaches the policy;
+        the detached instance leaves the lock released, and the
+        re-attached policy's list_add calls succeed."""
+        machine = Machine()
+        cg = machine.new_cgroup("t", limit_pages=16)
+        f = machine.fs.create("data")
+        for i in range(64):
+            f.store[i] = i
+        f.npages = 64
+        f.ra_enabled = False
+        list_ids = ArrayMap(1, name="list_ids")
+        oob = ArrayMap(1, name="oob")
+
+        @bpf_program
+        def init(memcg):
+            list_ids.update(0, list_create(memcg))
+            return 0
+
+        @bpf_program
+        def added(folio):
+            return list_add(list_ids.lookup(0), folio, True)
+
+        @bpf_program
+        def boom(i, folio):
+            return oob.lookup(42)  # out-of-bounds: runtime fault
+
+        @bpf_program
+        def evict(ctx, memcg):
+            return list_iterate(memcg, list_ids.lookup(0), boom, ctx, mode)
+
+        ops = CacheExtOps(name="boom", policy_init=init,
+                          folio_added=added, evict_folios=evict)
+        old = load_policy(machine, cg, ops)
+        fault_in(machine, f, cg, 40)
+        assert cg.ext_policy is None
+        assert cg.stats.ext_policy_faults == 1
+        assert not old.lists_locked
+
+        new = load_policy(machine, cg, ops)
+        resident = cg.charged_pages
+        assert resident > 0
+        assert list_size(list_ids.lookup(0)) == resident
+        assert new.kfunc_errors == 0
 
 
 class TestKfuncCharges:

@@ -73,6 +73,47 @@ class TestIntrusiveListBasics:
         lst.move_to_head(nodes[2])
         assert lst.items() == [2, 0, 1]
 
+    @pytest.mark.parametrize("front,expected", [
+        (0, [0, 1, 2, 3, 4]),
+        (2, [2, 3, 4, 0, 1]),
+        (4, [4, 0, 1, 2, 3]),
+    ], ids=["head", "middle", "tail"])
+    def test_rotate_to_front(self, front, expected):
+        lst = IntrusiveList()
+        nodes = [ListNode(i) for i in range(5)]
+        for n in nodes:
+            lst.add_tail(n)
+        lst.rotate_to_front(nodes[front])
+        assert lst.items() == expected
+        assert lst.head() is nodes[front]
+        assert len(lst) == 5
+        lst.check_consistency()
+        # Adds still land at both ends of the rotated list.
+        lst.add_head(ListNode("h"))
+        lst.add_tail(ListNode("t"))
+        assert lst.items() == ["h"] + expected + ["t"]
+        lst.check_consistency()
+
+    def test_rotate_to_front_single_element(self):
+        lst = IntrusiveList()
+        n = ListNode("x")
+        lst.add_tail(n)
+        lst.rotate_to_front(n)
+        assert lst.items() == ["x"]
+        assert lst.head() is n and lst.tail() is n
+        lst.check_consistency()
+
+    def test_rotate_to_front_foreign_node_rejected(self):
+        a, b = IntrusiveList(), IntrusiveList()
+        n = ListNode(1)
+        a.add_tail(n)
+        b.add_tail(ListNode(2))
+        with pytest.raises(RuntimeError):
+            b.rotate_to_front(n)
+        assert a.items() == [1] and b.items() == [2]
+        with pytest.raises(RuntimeError):
+            b.rotate_to_front(ListNode(3))  # detached
+
     def test_pop_head_fifo(self):
         lst = IntrusiveList()
         for i in range(4):

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from repro.apps.lsm import DbOptions, LsmDb
 from repro.apps.lsm.compaction import CompactionJob
-from repro.apps.lsm.format import BloomFilter, RecordFormat, fnv1a
+from repro.apps.lsm.format import (BLOOM_HASHES, BLOOM_PAGE_BITS,
+                                   BloomFilter, RecordFormat, bloom_hashes,
+                                   fnv1a)
 from repro.apps.lsm.sstable import SSTableWriter, open_sstable
 from repro.kernel import Machine
 
@@ -72,6 +74,137 @@ class TestBloom:
             bloom.add(key)
         assert all(BloomFilter.test_chunks(bloom.chunks, bloom.nbits, k)
                    for k in keys)
+
+
+    @given(st.lists(st.text(max_size=12), min_size=1, max_size=20,
+                    unique=True),
+           st.integers(1, 4000))
+    @settings(max_examples=50, deadline=None)
+    def test_bit_positions_are_fnv1a(self, keys, nkeys):
+        """A key's probe hashes are ``fnv1a(key, probe)``, and add and
+        test_chunks set and probe exactly ``hash % nbits``."""
+        for key in keys:
+            assert bloom_hashes(key) == tuple(
+                fnv1a(key, probe) for probe in range(BLOOM_HASHES))
+        bloom = BloomFilter(nkeys)
+        for key in keys:
+            bloom.add(key)
+        expected = {fnv1a(key, probe) % bloom.nbits
+                    for key in keys for probe in range(BLOOM_HASHES)}
+        assert set_bits(bloom.chunks) == expected
+
+        key = keys[0]
+        positions = {fnv1a(key, probe) % bloom.nbits
+                     for probe in range(BLOOM_HASHES)}
+        only = BloomFilter(nkeys)
+        only.add(key)
+        assert set_bits(only.chunks) == positions
+        assert BloomFilter.test_chunks(only.chunks, only.nbits, key)
+        for pos in positions:
+            chunks = [bytearray(chunk) for chunk in only.chunks]
+            page, bit = divmod(pos, BLOOM_PAGE_BITS)
+            chunks[page][bit // 8] &= ~(1 << (bit % 8)) & 0xFF
+            assert not BloomFilter.test_chunks(chunks, only.nbits, key)
+
+
+def set_bits(chunks) -> set:
+    """Bit positions set across a bloom filter's chunks."""
+    return {page * BLOOM_PAGE_BITS + byte * 8 + bit
+            for page, chunk in enumerate(chunks)
+            for byte, value in enumerate(chunk) if value
+            for bit in range(8) if value >> bit & 1}
+
+
+class TestWriterExtend:
+    """SSTableWriter.extend writes the same table as an add() loop."""
+
+    def _write(self, machine, cg, name, records, split, batched,
+               through_cache, value_size=1000):
+        """Add ``records[:split]`` one by one, then the rest with
+        extend (``batched``) or more add calls."""
+        writer = SSTableWriter(machine.fs, name,
+                               RecordFormat(value_size=value_size),
+                               expected_entries=len(records),
+                               through_cache=through_cache)
+
+        def write():
+            for key, value in records[:split]:
+                writer.add(key, value)
+            if batched:
+                writer.extend(records[split:])
+            else:
+                for key, value in records[split:]:
+                    writer.add(key, value)
+            return writer.finish()
+
+        if through_cache:
+            return in_thread(machine, cg, write)
+        return write()
+
+    def _assert_same(self, records, split, through_cache,
+                     value_size=1000):
+        machine, cg, db = make_db()
+        loop = self._write(machine, cg, "loop", records, split, False,
+                           through_cache, value_size)
+        batch = self._write(machine, cg, "batch", records, split, True,
+                            through_cache, value_size)
+        assert batch.file.npages == loop.file.npages
+        assert batch.file.store == loop.file.store
+        assert batch.file.store[batch.file.npages - 1] \
+            == loop.file.store[loop.file.npages - 1]  # footer
+        for field in ("n_data_pages", "index", "bloom_chunks",
+                      "bloom_nbits", "min_key", "max_key", "n_entries"):
+            assert getattr(batch, field) == getattr(loop, field), field
+
+    @given(st.lists(st.text(min_size=1, max_size=8), min_size=1,
+                    max_size=80, unique=True),
+           st.data(), st.sampled_from([1000, 220]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_add_loop(self, keys, data, value_size):
+        records = [(key, ("v", i)) for i, key in enumerate(sorted(keys))]
+        split = data.draw(st.integers(0, len(records)), label="split")
+        self._assert_same(records, split, False, value_size)
+
+    @pytest.mark.parametrize("through_cache", [False, True],
+                             ids=["bulk", "through_cache"])
+    @pytest.mark.parametrize("split", [0, 1, 2, 4, 7, 30])
+    def test_partly_filled_page_then_extend(self, split, through_cache):
+        # Three records per page: splits 1, 2, 4 and 7 leave an open page.
+        records = [(f"k{i:05d}", ("v", i)) for i in range(30)]
+        self._assert_same(records, split, through_cache)
+
+    def test_empty_extend_is_a_noop(self):
+        records = [(f"k{i:05d}", ("v", i)) for i in range(5)]
+        machine, cg, db = make_db()
+        loop = self._write(machine, cg, "loop", records, 5, False, False)
+        batch = self._write(machine, cg, "batch", records, 5, True, False)
+        assert batch.file.store == loop.file.store
+        assert batch.index == loop.index
+
+    @pytest.mark.parametrize("first,batch", [
+        (["b"], ["c", "a"]),
+        (["b"], ["a"]),
+        (["b"], ["b"]),
+        ([], ["a", "c", "c"]),
+    ])
+    def test_out_of_order_same_error(self, first, batch):
+        machine, cg, db = make_db()
+        messages = []
+        for batched in (False, True):
+            writer = SSTableWriter(machine.fs, f"bad{batched}",
+                                   RecordFormat(), expected_entries=4,
+                                   through_cache=False)
+            for key in first:
+                writer.add(key, 0)
+            with pytest.raises(ValueError) as err:
+                if batched:
+                    writer.extend([(key, 0) for key in batch])
+                else:
+                    for key in batch:
+                        writer.add(key, 0)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("keys out of order")
 
 
 class TestSSTable:
