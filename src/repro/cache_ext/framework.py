@@ -70,9 +70,9 @@ class CacheExtPolicy(ExtPolicyBase):
         self.budget_overruns = 0
         self.attached = False
         #: Hook guard (fault injection + runtime budget), or None —
-        #: the default, keeping every hook fast path at one extra
-        #: attribute load and an is-None branch.  Set by the machine
-        #: when faults or a budget are armed (repro.faults).
+        #: the default, costing each dispatch one attribute load and
+        #: an is-None branch.  Set by the machine when faults or a
+        #: budget are armed (repro.faults).
         self._guard = machine._policy_guard(memcg)
         # Cached tracepoints (repro.obs): one attribute load + branch
         # per dispatch when tracing is off.
@@ -92,20 +92,8 @@ class CacheExtPolicy(ExtPolicyBase):
         self._memcg_stats.hook_cpu_us += us
         self._cache_stats.hook_cpu_us += us
 
-    # charge_hook/charge_kfunc run once per hook dispatch and once per
-    # kfunc call respectively; the _charge body is inlined rather than
-    # delegated so the hot path costs one frame, not two.
-    def charge_hook(self) -> None:
-        us = self.machine.costs.bpf_hook_us
-        thread = current_thread()
-        if thread is not None:
-            thread.advance(us)
-            span = thread.span
-            if span is not None:
-                span.add("kfunc", us)
-        self._memcg_stats.hook_cpu_us += us
-        self._cache_stats.hook_cpu_us += us
-
+    # charge_kfunc runs once per kfunc call; the _charge body is
+    # inlined rather than delegated so it costs one frame, not two.
     def charge_kfunc(self) -> None:
         us = self.machine.costs.kfunc_op_us
         thread = current_thread()
@@ -126,54 +114,6 @@ class CacheExtPolicy(ExtPolicyBase):
             return thread.clock_us, thread.tid
         return self.machine.engine.now_us, 0
 
-    def _hook_entry(self, slot: str):
-        """Emit ``cache_ext:hook_entry``; returns the hook-CPU baseline
-        consumed by the matching :meth:`_hook_exit` (``None`` when both
-        hook tracepoints are disabled and no guard is armed, so the
-        common case costs a few attribute loads and branches).
-
-        With a guard armed, fault injection (stalls, kfunc misuse)
-        happens *after* the baseline is taken, so an injected stall
-        counts against the per-hook runtime budget like real hook CPU.
-        """
-        guard = self._guard
-        trace_on = (self._tp_hook_entry.enabled
-                    or self._tp_hook_exit.enabled)
-        if guard is None and not trace_on:
-            return None
-        if trace_on:
-            ts, tid = self._trace_point()
-            tp = self._tp_hook_entry
-            if tp.enabled:
-                tp.emit(ts, self.memcg.name, tid, slot=slot,
-                        policy=self.name)
-        cpu_base = self._memcg_stats.hook_cpu_us
-        if guard is not None:
-            guard.inject(self)
-        return cpu_base
-
-    def _hook_exit(self, slot: str, cpu_base) -> None:
-        """Emit ``cache_ext:hook_exit`` with the CPU charged between
-        entry and exit (hook dispatch plus every kfunc the program
-        ran), and enforce the per-hook runtime budget: one dispatch
-        charging more than the budget gets the policy watchdog-detached
-        (reason="budget"), exactly like a faulting program."""
-        if cpu_base is None:
-            return
-        used = self._memcg_stats.hook_cpu_us - cpu_base
-        tp = self._tp_hook_exit
-        if tp.enabled:
-            ts, tid = self._trace_point()
-            tp.emit(ts, self.memcg.name, tid, slot=slot, policy=self.name,
-                    cpu_us=used)
-        guard = self._guard
-        if guard is not None and guard.budget_us is not None \
-                and used > guard.budget_us and self.attached:
-            self.budget_overruns += 1
-            self.memcg.stats.budget_overruns += 1
-            self.machine.page_cache.stats.budget_overruns += 1
-            self._watchdog_detach(reason="budget")
-
     def note_kfunc_error(self, code: int, kfunc: str) -> None:
         """Record one kfunc error return: bumps the per-policy counter
         (kept for backwards compatibility), the cgroup and machine
@@ -188,34 +128,86 @@ class CacheExtPolicy(ExtPolicyBase):
                     policy=self.name)
 
     # ------------------------------------------------------------------
-    # watchdog
+    # dispatch and watchdog
     # ------------------------------------------------------------------
-    def _run_prog(self, prog, *args, default=None):
-        """Invoke a policy program under the watchdog.
+    def _dispatch(self, slot: str, prog, args: tuple, default=None):
+        """Dispatch one hook: charge it and run ``prog(*args)`` under
+        the watchdog.  Every hook slot goes through here.
 
-        A verified eBPF program cannot crash the kernel, but a policy
-        can still misbehave at run time (bad map usage, helper misuse).
-        Mirroring sched_ext's watchdog — which the paper points to as
-        the model for handling misbehaving policies — a faulting
-        program gets its whole policy forcibly detached and the cgroup
-        falls back to the kernel's own eviction.
+        The charge is the hook-dispatch CPU cost (Table 4).  A verified
+        eBPF program cannot crash the kernel, but a policy can still
+        misbehave at run time (bad map usage, helper misuse).
+        Mirroring sched_ext's watchdog, which the paper points to as
+        the model for handling misbehaving policies, a program that
+        raises gets its whole policy forcibly detached and ``default``
+        is returned; the cgroup falls back to the kernel's own
+        eviction.  ``prog`` may be None (the slot is empty): the
+        dispatch is still charged.
+
+        With a hook tracepoint enabled or a guard armed, the dispatch
+        is observed: ``cache_ext:hook_entry`` fires before the charge
+        and ``cache_ext:hook_exit`` after the program, carrying the CPU
+        charged in between (dispatch plus every kfunc the program
+        ran).  Guard fault injection runs after that CPU baseline is
+        taken, so an injected stall counts against the per-hook runtime
+        budget like real hook CPU, and a dispatch charging more than
+        the budget gets the policy watchdog-detached
+        (reason="budget").
         """
-        # Dispatch through prog.fn with the invocation bump done here:
-        # the same observable behaviour as calling the BpfProgram, one
-        # Python frame cheaper.  Plain callables (tests) lack ``fn``
-        # and take the direct path.
-        fn = getattr(prog, "fn", None)
-        if fn is None:
-            fn = prog
-        else:
-            prog.invocations += 1
-        try:
-            return fn(*args)
-        except Exception as exc:
-            self.memcg.stats.ext_policy_faults += 1
-            self.machine.page_cache.stats.ext_policy_faults += 1
-            self._watchdog_detach(reason=type(exc).__name__)
-            return default
+        guard = self._guard
+        observed = (guard is not None or self._tp_hook_entry.enabled
+                    or self._tp_hook_exit.enabled)
+        if observed:
+            tp = self._tp_hook_entry
+            if tp.enabled:
+                ts, tid = self._trace_point()
+                tp.emit(ts, self.memcg.name, tid, slot=slot,
+                        policy=self.name)
+            cpu_base = self._memcg_stats.hook_cpu_us
+            if guard is not None:
+                guard.inject(self)
+        us = self.machine.costs.bpf_hook_us
+        thread = current_thread()
+        if thread is not None:
+            # thread.advance(us) without its sign check: us is a
+            # configured cost, never negative.
+            thread.clock_us += us
+            thread.cpu_us += us
+            span = thread.span
+            if span is not None:
+                span.add("kfunc", us)
+        self._memcg_stats.hook_cpu_us += us
+        self._cache_stats.hook_cpu_us += us
+        result = default
+        if prog is not None:
+            # Call prog.fn with the invocation bump done here: the same
+            # observable behaviour as calling the BpfProgram, one frame
+            # cheaper.  Plain callables (tests) lack ``fn``.
+            fn = getattr(prog, "fn", None)
+            if fn is None:
+                fn = prog
+            else:
+                prog.invocations += 1
+            try:
+                result = fn(*args)
+            except Exception as exc:
+                self.memcg.stats.ext_policy_faults += 1
+                self.machine.page_cache.stats.ext_policy_faults += 1
+                self._watchdog_detach(reason=type(exc).__name__)
+        if observed:
+            used = self._memcg_stats.hook_cpu_us - cpu_base
+            tp = self._tp_hook_exit
+            if tp.enabled:
+                ts, tid = self._trace_point()
+                tp.emit(ts, self.memcg.name, tid, slot=slot,
+                        policy=self.name, cpu_us=used)
+            if guard is not None and guard.budget_us is not None \
+                    and used > guard.budget_us and self.attached:
+                self.budget_overruns += 1
+                self.memcg.stats.budget_overruns += 1
+                self.machine.page_cache.stats.budget_overruns += 1
+                self._watchdog_detach(reason="budget")
+        return result
 
     def _watchdog_detach(self, reason: str = "fault") -> None:
         """Forcibly remove this policy (kernel-side, no loader help)."""
@@ -256,113 +248,52 @@ class CacheExtPolicy(ExtPolicyBase):
     # ------------------------------------------------------------------
     # hook dispatch (ExtPolicyBase interface)
     # ------------------------------------------------------------------
+    # Each public hook below is one call of _dispatch; none calls
+    # another, so a wrapper on any of them sees each dispatch once.
+
     def admit(self, mapping: AddressSpace, index: int) -> bool:
-        if self.ops.admit is None:
+        prog = self.ops.admit
+        if prog is None:
             return True
-        cpu = self._hook_entry("admit")
-        self.charge_hook()
         thread = current_thread()
         tid = thread.tid if thread is not None else 0
-        verdict = bool(self._run_prog(self.ops.admit, mapping.file_id,
-                                      index, tid, default=1))
-        self._hook_exit("admit", cpu)
-        return verdict
+        return bool(self._dispatch("admit", prog,
+                                   (mapping.file_id, index, tid), 1))
 
     def readahead_hint(self, mapping: AddressSpace, index: int,
                        seq_streak: int):
-        if self.ops.readahead is None:
+        prog = self.ops.readahead
+        if prog is None:
             return None
-        cpu = self._hook_entry("readahead")
-        self.charge_hook()
-        pages = self._run_prog(self.ops.readahead, mapping.file_id,
-                               index, seq_streak)
-        self._hook_exit("readahead", cpu)
+        pages = self._dispatch("readahead", prog,
+                               (mapping.file_id, index, seq_streak))
         if not isinstance(pages, int) or pages < 0:
             return None  # malformed hint: keep the kernel heuristic
         return pages
 
-    # The three per-folio hooks below run on every cache access,
-    # insertion and removal.  When both hook tracepoints are disabled
-    # (the overwhelmingly common case) they skip the _hook_entry /
-    # _hook_exit / charge_hook frames entirely; the charged cost and
-    # dispatch order are identical on both paths.
-
     def folio_added(self, folio: Folio) -> None:
         # Registry first (memory safety), then the policy's program.
         self.registry.insert(folio)
-        if self._guard is None and not (self._tp_hook_entry.enabled
-                                        or self._tp_hook_exit.enabled):
-            us = self.machine.costs.bpf_hook_us
-            thread = current_thread()
-            if thread is not None:
-                # inlined thread.advance(us): us is a configured cost,
-                # never negative
-                thread.clock_us += us
-                thread.cpu_us += us
-                span = thread.span
-                if span is not None:
-                    span.add("kfunc", us)
-            self._memcg_stats.hook_cpu_us += us
-            self._cache_stats.hook_cpu_us += us
-            prog = self.ops.folio_added
-            if prog is not None:
-                # Inlined _run_prog (same dispatch, invocation bump and
-                # watchdog handling, one frame cheaper).
-                fn = getattr(prog, "fn", None)
-                if fn is None:
-                    fn = prog
-                else:
-                    prog.invocations += 1
-                try:
-                    fn(folio)
-                except Exception as exc:
-                    self.memcg.stats.ext_policy_faults += 1
-                    self.machine.page_cache.stats.ext_policy_faults += 1
-                    self._watchdog_detach(reason=type(exc).__name__)
-            return
-        cpu = self._hook_entry("folio_added")
-        self.charge_hook()
-        if self.ops.folio_added is not None:
-            self._run_prog(self.ops.folio_added, folio)
-        self._hook_exit("folio_added", cpu)
+        self._dispatch("folio_added", self.ops.folio_added, (folio,))
 
     def folio_accessed(self, folio: Folio) -> None:
-        if self._guard is None and not (self._tp_hook_entry.enabled
-                                        or self._tp_hook_exit.enabled):
-            us = self.machine.costs.bpf_hook_us
-            thread = current_thread()
-            if thread is not None:
-                # inlined thread.advance(us): us is a configured cost,
-                # never negative
-                thread.clock_us += us
-                thread.cpu_us += us
-                span = thread.span
-                if span is not None:
-                    span.add("kfunc", us)
-            self._memcg_stats.hook_cpu_us += us
-            self._cache_stats.hook_cpu_us += us
-            prog = self.ops.folio_accessed
-            if prog is not None:
-                # Inlined _run_prog (see folio_added).
-                fn = getattr(prog, "fn", None)
-                if fn is None:
-                    fn = prog
-                else:
-                    prog.invocations += 1
-                try:
-                    fn(folio)
-                except Exception as exc:
-                    self.memcg.stats.ext_policy_faults += 1
-                    self.machine.page_cache.stats.ext_policy_faults += 1
-                    self._watchdog_detach(reason=type(exc).__name__)
-            return
-        cpu = self._hook_entry("folio_accessed")
-        self.charge_hook()
-        if self.ops.folio_accessed is not None:
-            self._run_prog(self.ops.folio_accessed, folio)
-        self._hook_exit("folio_accessed", cpu)
+        self._dispatch("folio_accessed", self.ops.folio_accessed, (folio,))
 
     def folio_removed(self, folio: Folio) -> None:
+        self._remove(folio)
+
+    def folios_removed(self, folios: list[Folio]) -> None:
+        """Batched removal dispatch (truncate/delete path): the
+        per-folio removal of :meth:`folio_removed`, in order."""
+        for folio in folios:
+            self._remove(folio)
+            if not self.attached:
+                # The program faulted and the watchdog detached us; the
+                # remaining folios are no longer this policy's concern
+                # (watchdog cleanup already emptied the lists).
+                break
+
+    def _remove(self, folio: Folio) -> None:
         # Kernel-side cleanup: detach the folio's eviction-list node and
         # drop the registry entry *before* the policy program runs, so a
         # buggy program cannot resurrect a stale reference.
@@ -370,82 +301,15 @@ class CacheExtPolicy(ExtPolicyBase):
         if node is not None and node.owner is not None:
             node.owner.remove(node)
         folio.ext_node = None
-        if self._guard is None and not (self._tp_hook_entry.enabled
-                                        or self._tp_hook_exit.enabled):
-            us = self.machine.costs.bpf_hook_us
-            thread = current_thread()
-            if thread is not None:
-                # inlined thread.advance(us): us is a configured cost,
-                # never negative
-                thread.clock_us += us
-                thread.cpu_us += us
-                span = thread.span
-                if span is not None:
-                    span.add("kfunc", us)
-            self._memcg_stats.hook_cpu_us += us
-            self._cache_stats.hook_cpu_us += us
-            prog = self.ops.folio_removed
-            if prog is not None:
-                # Inlined _run_prog (see folio_added).
-                fn = getattr(prog, "fn", None)
-                if fn is None:
-                    fn = prog
-                else:
-                    prog.invocations += 1
-                try:
-                    fn(folio)
-                except Exception as exc:
-                    self.memcg.stats.ext_policy_faults += 1
-                    self.machine.page_cache.stats.ext_policy_faults += 1
-                    self._watchdog_detach(reason=type(exc).__name__)
-            return
-        cpu = self._hook_entry("folio_removed")
-        self.charge_hook()
-        if self.ops.folio_removed is not None:
-            self._run_prog(self.ops.folio_removed, folio)
-        self._hook_exit("folio_removed", cpu)
-
-    def folios_removed(self, folios: list[Folio]) -> None:
-        """Batched removal dispatch (truncate/delete path).
-
-        Per-folio semantics — registry removal, node unlink, one hook
-        dispatch and charge, the policy's ``folio_removed`` program —
-        are identical to looping :meth:`folio_removed`; the registry,
-        program and charge machinery are simply bound once per batch
-        instead of once per folio.
-        """
-        registry_remove = self.registry.remove
-        charge_hook = self.charge_hook
-        prog = self.ops.folio_removed
-        trace_hooks = (self._tp_hook_entry.enabled
-                       or self._tp_hook_exit.enabled
-                       or self._guard is not None)
-        for folio in folios:
-            node = registry_remove(folio)
-            if node is not None and node.owner is not None:
-                node.owner.remove(node)
-            folio.ext_node = None
-            cpu = self._hook_entry("folio_removed") if trace_hooks else None
-            charge_hook()
-            if prog is not None:
-                self._run_prog(prog, folio)
-            if trace_hooks:
-                self._hook_exit("folio_removed", cpu)
-            if not self.attached:
-                # The program faulted and the watchdog detached us; the
-                # remaining folios are no longer this policy's concern
-                # (watchdog cleanup already emptied the lists).
-                break
+        self._dispatch("folio_removed", self.ops.folio_removed, (folio,))
 
     def propose_candidates(self, nr: int) -> list[Folio]:
-        if self.ops.evict_folios is None:
+        prog = self.ops.evict_folios
+        if prog is None:
             return []
         self.candidate_requests += nr
         ctx = EvictionCtx(nr)
-        cpu = self._hook_entry("evict_folios")
-        self.charge_hook()
-        self._run_prog(self.ops.evict_folios, ctx, self.memcg)
-        self._hook_exit("evict_folios", cpu)
+        self._dispatch("evict_folios", prog, (ctx, self.memcg))
         out = list(ctx.candidates)
         # Delivery is measured on what the *policy* produced; corrupted
         # entries a guard appends below are the kernel's problem to

@@ -279,7 +279,7 @@ def _iter_hot_state(policy, callback):
     and the configured kfunc cost cannot change mid-loop; the loop
     charges ``charge_kfunc``'s amounts itself instead of calling it per
     folio.  ``cb_fn`` unwraps a BpfProgram callback the same way
-    :meth:`CacheExtPolicy._run_prog` does (the ``invocations`` bump
+    :meth:`CacheExtPolicy._dispatch` does (the ``invocations`` bump
     stays with the caller).
     """
     return (current_thread(), policy.machine.costs.kfunc_op_us,

@@ -205,8 +205,7 @@ class Machine(SnapshotFriendly):
 
     def _policy_guard(self, memcg):
         """The hook guard a policy attaching to ``memcg`` should carry
-        (None when neither faults nor a budget are armed — the hook
-        fast paths stay guard-free)."""
+        (None when neither faults nor a budget are armed)."""
         if self.faults is None and self.hook_budget_us is None:
             return None
         from repro.faults.injector import PolicyGuard

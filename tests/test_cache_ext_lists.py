@@ -15,7 +15,8 @@ from repro.cache_ext.kfuncs import (EBUSY, EINVAL, ENOENT, EPERM,
                                     folio_key, ktime_us, list_add,
                                     list_create, list_del, list_iterate,
                                     list_move, list_size)
-from repro.cache_ext.ops import CacheExtOps, EvictionCtx
+from repro.cache_ext.ops import (MAX_EVICTION_CANDIDATES, CacheExtOps,
+                                 EvictionCtx)
 from repro.ebpf.maps import ArrayMap
 from repro.ebpf.runtime import bpf_program
 from repro.kernel import Machine
@@ -338,9 +339,11 @@ class TestIterateScoring:
            want=st.integers(1, 32), proposed=st.integers(0, 4))
     def test_matches_naive_reference(self, data, n, want, proposed):
         """Scoring mode equals a naive reference: sort the scanned run
-        on ``(score, position)``, take the ``want`` lowest, then rotate
-        every other scanned node to the tail with one ``move_to_tail``
-        each, in scan order."""
+        on ``(score, position)``, take as many of the lowest as the
+        context has room for, then rotate every other scanned node to
+        the tail with one ``move_to_tail`` each, in scan order.  The
+        room is the request, capped at ``MAX_EVICTION_CANDIDATES`` by
+        ``EvictionCtx``, minus the candidates already proposed."""
         nr_scan = data.draw(st.one_of(st.integers(1, n),
                                       st.integers(n, n + 8), st.just(0)),
                             label="nr_scan")
@@ -365,11 +368,12 @@ class TestIterateScoring:
             assert folio is before[i]
             return score_of[folio.id]
 
+        room = ctx.nr_candidates_requested - proposed
         added = list_iterate(cg, list_id, score, ctx, MODE_SCORING, nr_scan)
 
         limit = min(nr_scan or len(before), len(before))
         ranked = sorted(range(limit), key=lambda p: (scores[p], p))
-        chosen = sorted(ranked[:want])
+        chosen = sorted(ranked[:room])
         reference = IntrusiveList()
         nodes = [ListNode(folio) for folio in before]
         for node in nodes:
@@ -382,6 +386,30 @@ class TestIterateScoring:
         assert added == len(chosen)
         lst.check_consistency()
 
+
+    def test_request_capped_at_max_candidates(self):
+        """A request above MAX_EVICTION_CANDIDATES is capped by the
+        context: with 4 candidates already proposed, asking for 36
+        selects 32 - 4 = 28 folios, not 36."""
+        machine, cg, policy, f = setup()
+        list_id = list_create(cg)
+        folios = fault_in(machine, f, cg, 44)
+        listed, earlier = folios[:40], folios[40:]
+        for folio in listed:
+            assert list_add(list_id, folio, True) == 0
+        before = policy.lists[-1].items()
+        ctx = EvictionCtx(36)
+        for folio in earlier:
+            assert ctx.add_candidate(folio)
+
+        @bpf_program
+        def flat(i, folio):
+            return 0
+
+        added = list_iterate(cg, list_id, flat, ctx, MODE_SCORING, 40)
+        assert ctx.nr_candidates_requested == MAX_EVICTION_CANDIDATES
+        assert added == MAX_EVICTION_CANDIDATES - len(earlier) == 28
+        assert ctx.candidates == earlier + before[:28]
 
 class TestListLock:
     """While a list_iterate callback runs, the policy's lists are

@@ -6,7 +6,7 @@ import pytest
 
 from repro.sim import engine as engine_mod
 from repro.sim.engine import Engine, current_thread
-from repro.sim.resources import Disk
+from repro.kernel.block import BlockDevice
 
 
 def make_counter_thread(engine, name, n, cost_us, log=None):
@@ -480,9 +480,11 @@ class TestDaemonThreads:
 
 
 class TestDisk:
+    """The block device's request path (kernel.block.BlockDevice)."""
+
     def test_single_read_time(self):
         engine = Engine()
-        disk = Disk(read_us=100.0, channels=1)
+        disk = BlockDevice(read_us=100.0, channels=1)
 
         def step(thread):
             disk.read(thread, 1)
@@ -492,18 +494,28 @@ class TestDisk:
         engine.run()
         assert t.clock_us == pytest.approx(100.0)
 
+    @staticmethod
+    def _read_time(npages, contiguous=False):
+        engine = Engine()
+        disk = BlockDevice(read_us=100.0, channels=1, seq_factor=0.25)
+
+        def step(thread):
+            disk.read(thread, npages, contiguous=contiguous)
+            return False
+
+        t = engine.spawn("r", step)
+        engine.run()
+        return t.clock_us
+
     def test_batched_read_discount(self):
-        disk = Disk(read_us=100.0, seq_factor=0.25)
-        assert disk._service_us(100.0, 4) == pytest.approx(175.0)
+        assert self._read_time(4) == pytest.approx(175.0)
 
     def test_contiguous_pricing(self):
-        disk = Disk(read_us=100.0, seq_factor=0.25)
-        assert disk._service_us(100.0, 4, contiguous=True) == \
-            pytest.approx(100.0)
+        assert self._read_time(4, contiguous=True) == pytest.approx(100.0)
 
     def test_contention_on_single_channel(self):
         engine = Engine()
-        disk = Disk(read_us=100.0, channels=1)
+        disk = BlockDevice(read_us=100.0, channels=1)
         finish = {}
 
         def make(name):
@@ -522,7 +534,7 @@ class TestDisk:
 
     def test_channels_allow_parallelism(self):
         engine = Engine()
-        disk = Disk(read_us=100.0, channels=2)
+        disk = BlockDevice(read_us=100.0, channels=2)
         finish = []
 
         def step(thread):
@@ -537,7 +549,7 @@ class TestDisk:
 
     def test_stats_accumulate(self):
         engine = Engine()
-        disk = Disk()
+        disk = BlockDevice()
 
         def step(thread):
             disk.read(thread, 3)
@@ -553,7 +565,7 @@ class TestDisk:
 
     def test_invalid_page_count(self):
         engine = Engine()
-        disk = Disk()
+        disk = BlockDevice()
 
         def step(thread):
             disk.read(thread, 0)
@@ -565,4 +577,4 @@ class TestDisk:
 
     def test_needs_at_least_one_channel(self):
         with pytest.raises(ValueError):
-            Disk(channels=0)
+            BlockDevice(channels=0)
